@@ -94,16 +94,20 @@ class ProjectedLaw:
                 self.width * math.sqrt(2.0 * math.pi)
             )
             out += kern @ self.atom_masses
-        for g_lo, g_hi, slope, intercept in self.ramps:
+        if self.ramps.size:
+            # One (ramp, point) broadcast.  Rows are added in ramp order so the
+            # sum rounds exactly as a per-ramp loop would.
+            g_lo, g_hi, slope, intercept = (col[:, None] for col in self.ramps.T)
             b = self.coef * slope
-            a = pts - self.coef * intercept
+            a = pts[None, :] - self.coef * intercept
             var = var0 + b * b
-            coefs = np.exp(-a * a / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+            coefs = np.exp(-a * a / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
             mu = a * b / var
-            sd = self.width / math.sqrt(var)
+            sd = self.width / np.sqrt(var)
             t_lo = (g_lo - mu) / sd
             t_hi = (g_hi - mu) / sd
-            out += coefs * _stable_interval_mass(t_lo, t_hi)
+            for row in coefs * _stable_interval_mass(t_lo, t_hi):
+                out += row
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def feature_points(self) -> np.ndarray:

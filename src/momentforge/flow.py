@@ -54,10 +54,7 @@ class FlowSystem:
     inv_heights: np.ndarray
     moment_orders: np.ndarray
     sigma_min: float
-
-    @property
-    def sigma_max(self) -> float:
-        return float(np.linalg.norm(self.Z, 2))
+    sigma_max: float
 
 
 def build_system(inst: BumpInstance) -> FlowSystem:
@@ -83,13 +80,14 @@ def build_system(inst: BumpInstance) -> FlowSystem:
     if not np.all(np.isfinite(Z)) or not np.all(np.isfinite(deps)):
         raise ValidationError("non-finite moment encountered in system assembly")
     b = -deps.sum(axis=0)
-    sigma_min = float(np.linalg.svd(Z, compute_uv=False)[-1])
+    singular = np.linalg.svd(Z, compute_uv=False)
     return FlowSystem(
         Z=Z,
         b=b,
         inv_heights=1.0 / heights,
         moment_orders=orders,
-        sigma_min=sigma_min,
+        sigma_min=float(singular[-1]),
+        sigma_max=float(singular[0]),
     )
 
 

@@ -3,8 +3,14 @@
 The verification integrands are smooth inside panels whose edges align with
 the comb features of the smoothed pushforward density (teeth of width sigma
 around the scaled plateau heights), so feature-aligned panels refined by an
-embedded-order error estimate converge fast and deterministically.  Callers
-pass vectorized integrands.
+embedded-order error estimate converge fast and deterministically.
+
+Integrands are vectorized.  A 1-D integrand takes an array of nodes and
+returns the values there.  A 2-D integrand takes the two axis node vectors
+of a tensor panel, gx and gy, and returns the len(gx) x len(gy) grid of
+values f(gx[i], gy[j]).  Integrands that factor through functions of one
+coordinate, like the verification integrands D(x) D(x') phi(.), then
+evaluate those factors on the axis nodes only and broadcast the rest.
 """
 
 from __future__ import annotations
@@ -101,10 +107,7 @@ def _panel_2d(f, box, order: int) -> tuple[float, float]:
     out = []
     for n in (order, 2 * order):
         xs, ws = _gl_rule(n)
-        gx = x0 + wx * xs
-        gy = y0 + wy * xs
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        vals = f(X.ravel(), Y.ravel()).reshape(n, n)
+        vals = f(x0 + wx * xs, y0 + wy * xs)
         out.append(wx * wy * float(ws @ vals @ ws))
     return out[1], abs(out[1] - out[0])
 
@@ -117,8 +120,10 @@ def panel_integrate_2d(
     order: int = 16,
     max_panels: int = 40_000,
 ) -> tuple[float, float]:
-    """Integrate vectorized f(x, y) over the product of the two break spans.
+    """Integrate f(x, y) over the product of the two break spans.
 
+    f is called as f(gx, gy) with the x and y node vectors of one tensor
+    panel and must return the (len(gx), len(gy)) array of f(gx[i], gy[j]).
     Panels are refined by splitting their longer side; raises QuadratureError
     when the budget runs out before reaching tol_abs.
     """

@@ -15,6 +15,7 @@ self-contained and serializes to JSON.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,8 @@ def pairwise_correlation(
 
     Exact 2-D reduction: integrate D'(x) D'(x') gaussian(y') / gaussian(x)
     * csc(theta) over the (x, x') plane and subtract 1; coordinates
-    orthogonal to the span integrate out to 1.
+    orthogonal to the span integrate out to 1.  D' and gaussian(x) are
+    evaluated on each panel's axis nodes; only gaussian(y') needs the grid.
     """
     if not abs(cosine) < 1.0:
         raise ValidationError("cosine must satisfy |cosine| < 1")
@@ -108,13 +110,14 @@ def pairwise_correlation(
     sin_t = math.sin(theta)
     breaks = _plane_breaks(dist)
 
-    def integrand(x, xp):
+    def integrand(gx, gxp):
+        x, xp = gx[:, None], gxp[None, :]
         yp = (xp * cosine - x) / sin_t
         return (
-            dist.density(x)
-            * dist.density(xp)
+            dist.density(gx)[:, None]
+            * dist.density(gxp)[None, :]
             * gaussian_density(yp)
-            / gaussian_density(x)
+            / gaussian_density(gx)[:, None]
             / sin_t
         )
 
@@ -136,11 +139,12 @@ def tv_hidden_pair(dist: PushforwardDist, cosine: float, tol_abs: float = 1e-4) 
     sin_t = math.sin(theta)
     breaks = _plane_breaks(dist)
 
-    def integrand(x, xp):
+    def integrand(gx, gxp):
+        x, xp = gx[:, None], gxp[None, :]
         y = (xp - x * cosine) / sin_t
         yp = (xp * cosine - x) / sin_t
-        first = dist.density(x) * gaussian_density(y)
-        second = dist.density(xp) * gaussian_density(yp)
+        first = dist.density(gx)[:, None] * gaussian_density(y)
+        second = dist.density(gxp)[None, :] * gaussian_density(yp)
         return np.minimum(first, second) / sin_t
 
     overlap, _ = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
@@ -280,6 +284,17 @@ def _tv_separation_floor(sigma: float, slack: float) -> float:
     return 1.0 - 2.0 * sigma * math.log(1.0 / sigma) - slack
 
 
+@contextmanager
+def _recorded(report: VerificationReport, label: str):
+    """Record a ValidationError raised by one sub-check in the report.
+
+    Numeric guard errors and program bugs propagate to the caller."""
+    try:
+        yield
+    except ValidationError as exc:
+        report.errors.append(f"{label}: {exc}")
+
+
 def verify_instance(
     initial: BumpInstance,
     evolved: BumpInstance,
@@ -287,33 +302,30 @@ def verify_instance(
     config: VerifyConfig,
     trace: EvolutionTrace | None = None,
 ) -> VerificationReport:
-    """Run every check on one build's artifacts; sub-check failures are
-    recorded in the report rather than raised."""
+    """Run every check on one build's artifacts.
+
+    A sub-check that raises ValidationError is recorded in the report and
+    the others still run; a NumericGuardError (such as QuadratureError)
+    propagates, as does any other exception."""
     report = VerificationReport(m=evolved.m, config=config)
     dist = PushforwardDist.from_instance(evolved, config.sigma)
 
-    try:
+    with _recorded(report, "moments"):
         report.moment_errors = [
             abs(dist.moment(k) - gaussian_moment(k)) for k in range(1, evolved.m + 1)
         ]
-    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-        report.errors.append(f"moments: {exc}")
 
     report.slope_max = evolved.max_slope()
-    try:
+    with _recorded(report, "network"):
         report.weight_bound = network.weight_bound
-    except Exception as exc:  # noqa: BLE001
-        report.errors.append(f"network: {exc}")
 
     chi_value = math.inf
-    try:
+    with _recorded(report, "chi-squared"):
         report.chi_squared = chi_squared_vs_gaussian(dist, tol_abs=config.chi_tol)
         chi_value = report.chi_squared.value
-    except Exception as exc:  # noqa: BLE001
-        report.errors.append(f"chi-squared: {exc}")
 
     for cosine in config.correlation_cosines:
-        try:
+        with _recorded(report, f"pairwise correlation at {cosine}"):
             value = pairwise_correlation(dist, cosine, tol_abs=config.correlation_tol)
             bound = _correlation_decay_bound(cosine, evolved.m, chi_value, config.nu)
             report.pairwise_corr.append(
@@ -326,11 +338,9 @@ def verify_instance(
                     passed=value <= bound,
                 )
             )
-        except Exception as exc:  # noqa: BLE001
-            report.errors.append(f"pairwise correlation at {cosine}: {exc}")
 
     for cosine in config.tv_cosines:
-        try:
+        with _recorded(report, f"tv at {cosine}"):
             value = tv_hidden_pair(dist, cosine, tol_abs=config.tv_tol)
             bound = _tv_separation_floor(config.sigma, config.tv_slack)
             report.tv_separation.append(
@@ -343,10 +353,8 @@ def verify_instance(
                     passed=value >= bound,
                 )
             )
-        except Exception as exc:  # noqa: BLE001
-            report.errors.append(f"tv at {cosine}: {exc}")
 
-    try:
+    with _recorded(report, "w1"):
         d0 = PushforwardDist.from_instance(initial, 0.0)
         dt = PushforwardDist.from_instance(evolved, 0.0)
         w1 = w1_empirical(
@@ -361,10 +369,8 @@ def verify_instance(
         report.w1_flow_distance = w1
         report.w1_flow_bound = w1_bound
         report.w1_flow_passed = w1 <= w1_bound
-    except Exception as exc:  # noqa: BLE001
-        report.errors.append(f"w1: {exc}")
 
-    try:
+    with _recorded(report, "distance-to-support"):
         small_sigma = min(config.sigma, 0.01)
         support_dist = PushforwardDist.from_instance(evolved, small_sigma)
         report.support_distance = distance_to_support(
@@ -374,16 +380,12 @@ def verify_instance(
             config.seed,
             config.support_threshold_coef,
         )
-    except Exception as exc:  # noqa: BLE001
-        report.errors.append(f"distance-to-support: {exc}")
 
-    try:
+    with _recorded(report, "vandermonde"):
         nodes = initial.left_heights() ** 2
         report.vandermonde = vandermonde_sigma_check(
             nodes, constant=config.vandermonde_constant
         )
-    except Exception as exc:  # noqa: BLE001
-        report.errors.append(f"vandermonde: {exc}")
 
     if trace is not None and trace.sigma_mins:
         report.sigma_min_summary = {

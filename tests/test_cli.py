@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from momentforge import QuadratureError
+from momentforge import verify as verify_module
 from momentforge.cli import main, network_from_payload
 from momentforge.serialize import (
     instance_from_payload,
@@ -97,6 +99,13 @@ class TestVerify:
         broken.write_text(json.dumps(data))
         code = main(["verify", str(broken)])
         assert code == 2
+
+    def test_quadrature_guard_exit_code(self, built_m5, monkeypatch):
+        def failing(*args, **kwargs):
+            raise QuadratureError(achieved=1e-3, target=2e-8)
+
+        monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
+        assert main(["verify", str(built_m5)]) == 3
 
 
 class TestExportAndSample:

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import reference_density
 from scipy import integrate, stats
 
 from momentforge import (
@@ -180,6 +184,58 @@ class TestProjectedLaw:
                 1e-9,
             )
             assert abs(emp - want) <= 5.0 / math.sqrt(len(proj)) + 1e-4
+
+
+points = arrays(
+    np.float64,
+    st.integers(1, 64),
+    elements=st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False),
+)
+cosines = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda c: abs(c) < 0.999)
+property_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def assert_within_one_ulp(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+class TestDensityKernelProperties:
+    """The broadcast density kernel against the per-ramp loop reference."""
+
+    @property_settings
+    @given(x=points)
+    def test_marginal_matches_reference(self, dist5, x):
+        assert_within_one_ulp(dist5.law.density(x), reference_density(dist5.law, x))
+
+    @property_settings
+    @given(x=points, cosine=cosines)
+    def test_projected_matches_reference(self, dist5, x, cosine):
+        law = dist5.projected(cosine)
+        assert_within_one_ulp(law.density(x), reference_density(law, x))
+
+    @property_settings
+    @given(x=points, sigma=st.floats(0.01, 0.5), cosine=cosines)
+    def test_identity_law_matches_reference(self, x, sigma, cosine):
+        # The identity law's single ramp has infinite latent bounds.
+        gauss = PushforwardDist.gaussian(sigma)
+        for law in (gauss.law, gauss.projected(cosine)):
+            assert np.isinf(law.ramps[:, :2]).all()
+            assert_within_one_ulp(law.density(x), reference_density(law, x))
+
+    @property_settings
+    @given(x=st.floats(-40.0, 40.0, allow_nan=False), cosine=cosines)
+    def test_scalar_input_returns_float(self, dist5, x, cosine):
+        law = dist5.projected(cosine)
+        value = law.density(x)
+        assert type(value) is float
+        assert_within_one_ulp(np.array([value]), reference_density(law, x))
+
+    @property_settings
+    @given(x=points, cosine=cosines)
+    def test_mirror_symmetry(self, dist5, x, cosine):
+        law = dist5.projected(cosine)
+        assert np.allclose(law.density(x), law.density(-x), rtol=1e-12, atol=1e-300)
 
 
 class TestSampleHidden:

@@ -1,5 +1,6 @@
 """Moment-preserving flow: system assembly, direction solve, integration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from momentforge import (
     vandermonde_sigma_check,
 )
 from momentforge.bumps import bump_moment, instance_pushforward_moment
-from momentforge.flow import FlowSystem, _solve_direction
+from momentforge.flow import _solve_direction
 from momentforge.gaussian import gaussian_interval_mass
 
 
@@ -53,6 +54,11 @@ class TestBuildSystem:
         system = build_system(instance5)
         assert system.sigma_min > 1e-12
 
+    def test_singular_values_are_the_spectral_extremes(self, instance5):
+        system = build_system(instance5)
+        assert system.sigma_max == np.linalg.norm(system.Z, 2)
+        assert system.sigma_min == np.linalg.norm(system.Z, -2)
+
     def test_even_order_entries_nonnegative(self, instance5):
         system = build_system(instance5)
         assert np.all(system.Z >= 0.0)
@@ -76,13 +82,7 @@ class TestFlowDirection:
 
     def test_zero_rhs_gives_zero_direction(self, instance5):
         system = build_system(instance5)
-        null_system = FlowSystem(
-            Z=system.Z,
-            b=np.zeros_like(system.b),
-            inv_heights=system.inv_heights,
-            moment_orders=system.moment_orders,
-            sigma_min=system.sigma_min,
-        )
+        null_system = dataclasses.replace(system, b=np.zeros_like(system.b))
         v = _solve_direction(null_system, 0.0, 1e-12)
         assert np.allclose(v, 0.0, atol=1e-15)
 

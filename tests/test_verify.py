@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import meshgrid_correlation
 
 from momentforge import (
     PushforwardDist,
+    QuadratureError,
     ValidationError,
     VerifyConfig,
     chi_squared_vs_gaussian,
@@ -18,6 +20,7 @@ from momentforge import (
     verify_instance,
     w1_empirical,
 )
+from momentforge import verify as verify_module
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,16 @@ class TestPairwiseCorrelation:
     def test_cosine_domain(self, dist5):
         with pytest.raises(ValidationError):
             pairwise_correlation(dist5, 1.0)
+
+    @pytest.mark.parametrize("cosine", [0.05, 0.5])
+    def test_agrees_with_meshgrid_oracle(self, dist5, cosine):
+        # Axis-node densities broadcast against the grid kernel must give the
+        # value of the integrand evaluated point by point on the full grid.
+        tol = 2e-8
+        want = meshgrid_correlation(dist5, cosine, verify_module._plane_breaks(dist5), tol)
+        assert pairwise_correlation(dist5, cosine, tol_abs=tol) == pytest.approx(
+            want, abs=tol
+        )
 
 
 class TestTvHiddenPair:
@@ -224,3 +237,33 @@ class TestVerifyInstance:
         )
         assert report.config is config
         assert [c.cosine for c in report.pairwise_corr] == [0.1]
+
+    @pytest.mark.parametrize(
+        "exc", [QuadratureError(achieved=1e-3, target=2e-8), TypeError("bug")]
+    )
+    def test_guards_and_bugs_propagate(self, build5, monkeypatch, exc):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
+        initial, evolved, trace = build5
+        config = VerifyConfig(correlation_cosines=(0.1,), tv_cosines=())
+        with pytest.raises(type(exc)):
+            verify_instance(initial, evolved, compile_instance(evolved), config)
+
+    def test_validation_errors_are_recorded(self, build5, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValidationError("rejected input")
+
+        monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
+        initial, evolved, trace = build5
+        config = VerifyConfig(
+            correlation_cosines=(0.1,),
+            tv_cosines=(),
+            w1_samples=50_000,
+            support_samples=20_000,
+        )
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert report.errors == ["pairwise correlation at 0.1: rejected input"]
+        assert not report.all_passed()
+        assert report.vandermonde is not None
