@@ -11,7 +11,6 @@ from .bumps import (
     BumpInstance,
     bump_eval,
     bump_moment,
-    bump_moment_closed,
     bump_moment_deps,
     bump_moment_dh,
     instance_eval,
@@ -47,15 +46,11 @@ from .flow import (
 from .gaussian import (
     QuadratureRule,
     ReducedRule,
-    double_fact_falling,
     gaussian_cdf,
     gaussian_density,
     gaussian_quantile,
     hermite_rule,
-    p_poly,
     reduce_rule,
-    shifted_truncated_moment,
-    truncated_moment,
 )
 from .network import (
     LiftedNetwork,

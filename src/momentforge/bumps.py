@@ -11,8 +11,8 @@ accuracy for small positive ramp width.
 
 Moment integrals over the ramps are computed after substituting the ramp onto
 the unit interval, which keeps them stable for ramp widths down to 1e-6 where
-the printed closed form would cancel catastrophically; the closed form is
-retained only as a flagged cross-check.
+the printed closed form would cancel catastrophically.  The closed form lives
+in tests/oracles.py, where the tests use it as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import SupportCollisionError, ValidationError
 from .gaussian import (
     ReducedRule,
-    _shifted_truncated_moment_terms,
     gaussian_density,
     gaussian_interval_mass,
     gaussian_moment,
@@ -35,20 +34,14 @@ from .gaussian import (
 __all__ = [
     "Bump",
     "BumpInstance",
-    "ClosedFormMoment",
     "bump_eval",
     "instance_eval",
     "bump_moment",
-    "bump_moment_closed",
     "bump_moment_dh",
     "bump_moment_deps",
     "layout",
     "instance_pushforward_moment",
 ]
-
-# Realistic relative accuracy of one truncated-moment evaluation; feeds the
-# closed-form cancellation estimate.
-_TERM_RELATIVE_ERROR = 1e-13
 
 # Fixed-order Gauss-Legendre rule on [0,1] for the ramp integrals.
 _GL_ORDER = 64
@@ -156,52 +149,6 @@ def bump_moment_deps(b: Bump, k: int) -> float:
         -z_lo * gaussian_density(z_lo) + z_hi * gaussian_density(z_hi)
     )
     return float(np.dot(_GL_WEIGHTS, first + e * second))
-
-
-@dataclass(frozen=True)
-class ClosedFormMoment:
-    """Closed-form bump moment plus a cancellation diagnostic.
-
-    predicted_error estimates the relative precision lost to cancellation;
-    reliable is False once that estimate exceeds 1e-3.
-    """
-
-    value: float
-    predicted_error: float
-    reliable: bool
-
-
-def bump_moment_closed(b: Bump, k: int) -> ClosedFormMoment:
-    """Even bump moment via the printed three-part closed form.
-
-    Requires the bump fully right of the origin (center - ramp - half_width
-    >= 0), even k, and a positive ramp.  Used only to cross-check
-    bump_moment in the regime where (height/ramp)^k is representable.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ValidationError("closed form applies to even k >= 2")
-    c, w, h, e = b.center, b.half_width, b.height, b.ramp
-    if e <= 0.0:
-        raise ValidationError("closed form requires positive ramp width")
-    if c - e - w < 0.0:
-        raise ValidationError("closed form requires the bump right of the origin")
-    plateau = h**k * gaussian_interval_mass(c - w, c + w)
-    slope = h / e
-    up, up_mag = _shifted_truncated_moment_terms(
-        slope, slope * (-c + e + w), k, c - e - w, c - w
-    )
-    down, down_mag = _shifted_truncated_moment_terms(
-        -slope, slope * (c + e + w), k, c + w, c + e + w
-    )
-    value = plateau + up + down
-    magnitude = abs(plateau) + up_mag + down_mag
-    # Each binomial term carries the ~1e-13 relative error of a truncated
-    # moment over a narrow interval, not bare machine epsilon; the loss is
-    # that per-term error amplified by the cancellation ratio.
-    predicted = magnitude * _TERM_RELATIVE_ERROR / max(abs(value), np.finfo(float).tiny)
-    return ClosedFormMoment(
-        value=value, predicted_error=predicted, reliable=predicted <= 1e-3
-    )
 
 
 @dataclass(frozen=True)

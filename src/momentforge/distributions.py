@@ -262,13 +262,16 @@ class PushforwardDist:
             )
         return total
 
-    def sample(self, n: int, seed: int, stream: int = STREAM_MARGINAL) -> np.ndarray:
-        if n < 1:
-            raise ValidationError("sample count must be >= 1")
-        rng = rng_stream(seed, stream)
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of scale * f(g1) + sigma * g2, taking g1 and then g2 from rng."""
         g1 = rng.standard_normal(n)
         g2 = rng.standard_normal(n)
         return self.scale * np.asarray(self.latent_eval(g1)) + self.sigma * g2
+
+    def sample(self, n: int, seed: int, stream: int = STREAM_MARGINAL) -> np.ndarray:
+        if n < 1:
+            raise ValidationError("sample count must be >= 1")
+        return self.draw(rng_stream(seed, stream), n)
 
     def projected(self, cosine: float) -> ProjectedLaw:
         """Law of <u, x> for x ~ hidden-direction law with <u, v> = cosine."""
@@ -297,6 +300,13 @@ class HiddenDirectionDist:
             raise ValidationError("direction must be a unit vector")
         object.__setattr__(self, "v", v)
 
+    def embed(self, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Rows s[i] * v + (I - vv')g[i]: marginal draws s along v, the
+        (n, d) Gaussian draws g projected off v.  Overwrites and returns g."""
+        g -= np.outer(g @ self.v, self.v)
+        g += np.outer(s, self.v)
+        return g
+
     def sample(self, n: int, seed: int) -> np.ndarray:
         return sample_hidden(self, n, seed)
 
@@ -317,9 +327,7 @@ def sample_hidden(hd: HiddenDirectionDist, n: int, seed: int) -> np.ndarray:
         raise ValidationError("sample count must be >= 1")
     s = hd.marginal.sample(n, seed, stream=STREAM_HIDDEN)
     rng = rng_stream(seed, STREAM_HIDDEN + 0x100)
-    g = rng.standard_normal((n, hd.d))
-    g -= np.outer(g @ hd.v, hd.v)
-    return g + np.outer(s, hd.v)
+    return hd.embed(s, rng.standard_normal((n, hd.d)))
 
 
 def sample_null(d: int, n: int, seed: int) -> np.ndarray:

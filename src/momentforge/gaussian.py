@@ -1,16 +1,16 @@
 """Standard-Gaussian primitives and discrete moment-matching rules.
 
 Everything downstream leans on this module: the density/CDF/quantile trio,
-double-factorial arithmetic, the antiderivative polynomials behind truncated
-Gaussian moments, and the symmetric quadrature rules whose node/weight pairs
-reproduce the Gaussian moments E[g^k] = (k-1)!! (even k) exactly up to degree
-2m-1.  Rule nodes are Newton-polished eigenvalues of the Hermite Jacobi
-matrix; weights come from the Christoffel function rather than from the
-eigenvectors, because eigenvector weights are accurate only in absolute terms
-and the outer weights of a large rule are tiny.  The reduced rule drops the
-central node at 0 and records the orphaned weight as "gap mass"; that mass
-becomes the region where the piecewise-linear construction is identically
-zero.
+interval masses, the double-factorial moments E[g^k] = (k-1)!! (even k), and
+the symmetric quadrature rules whose node/weight pairs reproduce those
+moments exactly up to degree 2m-1.  Rule nodes are Newton-polished
+eigenvalues of the Hermite Jacobi matrix; weights come from the Christoffel
+function rather than from the eigenvectors, because eigenvector weights are
+accurate only in absolute terms and the outer weights of a large rule are
+tiny.  The reduced rule drops the central node at 0 and records the orphaned
+weight as "gap mass"; that mass becomes the region where the piecewise-linear
+construction is identically zero.  Truncated moments and the antiderivative
+polynomials behind their closed forms are test oracles (tests/oracles.py).
 
 All functions are pure; rules are frozen after construction.
 """
@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc, gammaincc, gammaln, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import ValidationError
 
@@ -36,21 +35,11 @@ __all__ = [
     "gaussian_interval_mass",
     "gaussian_moment",
     "double_factorial",
-    "double_fact_falling",
-    "p_poly",
-    "truncated_moment",
-    "shifted_truncated_moment",
     "hermite_rule",
     "reduce_rule",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Above this the p_k antiderivative form loses more than ~1e-10 relative to
-# cancellation on central intervals; switch to the incomplete-gamma form.
-_PK_STABLE_MAX_ORDER = 12
-# Above this, fall back to adaptive quadrature of x^k * density.
-_CLOSED_FORM_MAX_ORDER = 20
 
 
 def gaussian_density(x, variance: float = 1.0):
@@ -106,156 +95,6 @@ def gaussian_moment(k: int) -> float:
     if k < 0:
         raise ValidationError("moment order must be nonnegative")
     return float(double_factorial(k - 1)) if k % 2 == 0 else 0.0
-
-
-def double_fact_falling(m: int, i: int) -> int:
-    """Falling double factorial m(m-2)...(m-2i+2); equals 1 when i = 0."""
-    if m < 0 or i < 0:
-        raise ValidationError("arguments must be nonnegative")
-    if i >= 1 and m - 2 * i + 2 < 0:
-        raise ValidationError(f"falling product runs negative: m={m}, i={i}")
-    out = 1
-    for j in range(i):
-        out *= m - 2 * j
-    return out
-
-
-def p_poly(k: int, x: float) -> float:
-    """Antiderivative polynomial for truncated Gaussian moments.
-
-    p_k(x) = sum_{i=0}^{floor((k-1)/2)} (k-1)^{falling i} x^{k-1-2i}, and
-    d/dx[-p_k(x) density(x)] = (x^k - gaussian_moment(k)) density(x).
-    p_0 is the empty sum, identically 0.
-    """
-    if k < 0:
-        raise ValidationError("p_poly order must be nonnegative")
-    if not math.isfinite(x):
-        raise ValidationError("non-finite input to p_poly")
-    if k == 0:
-        return 0.0
-    total = 0.0
-    for i in range((k - 1) // 2 + 1):
-        total += double_fact_falling(k - 1, i) * x ** (k - 1 - 2 * i)
-    return total
-
-
-def _pk_boundary_term(k: int, x: float) -> float:
-    """p_k(x) * density(x), with the correct 0 limit at infinite x."""
-    if math.isinf(x):
-        return 0.0
-    return p_poly(k, x) * gaussian_density(x)
-
-
-def _truncated_moment_pk(k: int, a: float, b: float) -> tuple[float, float]:
-    """Closed form via p_k; returns (value, magnitude of largest term)."""
-    term_b = _pk_boundary_term(k, b)
-    term_a = _pk_boundary_term(k, a)
-    if k % 2 == 1:
-        return -(term_b - term_a), max(abs(term_b), abs(term_a))
-    lead = double_factorial(k - 1) * _interval_mass_clipped(a, b)
-    return lead - (term_b - term_a), max(abs(lead), abs(term_b), abs(term_a))
-
-
-def _interval_mass_clipped(a: float, b: float) -> float:
-    return gaussian_interval_mass(max(a, -40.0), min(b, 40.0)) if a <= b else 0.0
-
-
-def _truncated_moment_gamma(k: int, lo: float, hi: float) -> float:
-    """E[g^k 1{lo <= g <= hi}] for 0 <= lo <= hi via regularized gammas.
-
-    Substituting t = x^2/2 turns the integral into an incomplete-gamma
-    difference; the lower tail uses the series branch and the upper tail the
-    continued-fraction branch, so the difference stays relatively accurate
-    where the p_k form cancels catastrophically.
-    """
-    s = (k + 1) / 2.0
-    t_lo = lo * lo / 2.0
-    t_hi = math.inf if math.isinf(hi) else hi * hi / 2.0
-    scale = math.exp(((k - 1) / 2.0) * math.log(2.0) + gammaln(s)) / SQRT_2PI
-    if t_hi <= s + 1.0:
-        return scale * (gammainc(s, t_hi) - gammainc(s, t_lo))
-    return scale * (gammaincc(s, t_lo) - (0.0 if math.isinf(t_hi) else gammaincc(s, t_hi)))
-
-
-def _truncated_moment_split(k: int, a: float, b: float) -> float:
-    """Gamma-form moment on [a, b], split at 0 to exploit symmetry.
-
-    For odd k straddling zero the symmetric part cancels analytically, so
-    only the one-sided remainder is evaluated.
-    """
-    if a >= 0.0:
-        return _truncated_moment_gamma(k, a, b)
-    if b <= 0.0:
-        return (-1.0) ** k * _truncated_moment_gamma(k, -b, -a)
-    if k % 2 == 1:
-        lo, hi = min(-a, b), max(-a, b)
-        sign = 1.0 if b >= -a else -1.0
-        return sign * _truncated_moment_gamma(k, lo, hi)
-    return _truncated_moment_gamma(k, 0.0, -a) + _truncated_moment_gamma(k, 0.0, b)
-
-
-def truncated_moment(k: int, a: float, b: float) -> float:
-    """E[g^k 1{a <= g <= b}] for g ~ N(0,1); a <= b, infinite endpoints allowed.
-
-    Uses the p_k antiderivative form while it is numerically safe, the
-    incomplete-gamma form when double-factorial growth would cancel, and
-    adaptive quadrature beyond order 20.
-    """
-    if k < 0:
-        raise ValidationError("moment order must be nonnegative")
-    if math.isnan(a) or math.isnan(b) or a > b:
-        raise ValidationError(f"invalid truncation interval [{a}, {b}]")
-    if a == b:
-        return 0.0
-    if k == 0:
-        return _interval_mass_clipped(a, b)
-    if k <= _PK_STABLE_MAX_ORDER:
-        value, magnitude = _truncated_moment_pk(k, a, b)
-        # Cancellation estimate: if the surviving value is many digits below
-        # the largest intermediate term, recompute through the gamma route.
-        if abs(value) > 1e-6 * magnitude:
-            return value
-        return _truncated_moment_split(k, a, b)
-    if k <= _CLOSED_FORM_MAX_ORDER:
-        return _truncated_moment_split(k, a, b)
-    lo, hi = max(a, -45.0), min(b, 45.0)
-    if lo >= hi:
-        return 0.0
-    value, _ = integrate.quad(
-        lambda x: x**k * gaussian_density(x),
-        lo,
-        hi,
-        points=[0.0] if lo < 0.0 < hi else None,
-        epsabs=1e-300,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return value
-
-
-def shifted_truncated_moment(c: float, dshift: float, k: int, a: float, b: float) -> float:
-    """E[(c*g + dshift)^k 1{a <= g <= b}] for even k, by binomial expansion."""
-    if k < 0 or k % 2 != 0:
-        raise ValidationError(f"shifted moment requires even k, got {k}")
-    if math.isnan(a) or math.isnan(b) or a > b:
-        raise ValidationError(f"invalid truncation interval [{a}, {b}]")
-    total = 0.0
-    for i in range(k + 1):
-        total += math.comb(k, i) * c**i * dshift ** (k - i) * truncated_moment(i, a, b)
-    return total
-
-
-def _shifted_truncated_moment_terms(
-    c: float, dshift: float, k: int, a: float, b: float
-) -> tuple[float, float]:
-    """Like shifted_truncated_moment but also returns the summed |term| mass."""
-    total = 0.0
-    magnitude = 0.0
-    for i in range(k + 1):
-        term = math.comb(k, i) * c**i * dshift ** (k - i) * truncated_moment(i, a, b)
-        total += term
-        magnitude += abs(term)
-    return total, magnitude
 
 
 @dataclass(frozen=True)

@@ -267,11 +267,8 @@ class SqOracle:
             return self._rng.standard_normal(n)
         hidden = self._target.hidden
         cosine = float(np.clip(query.direction @ hidden.v, -1.0, 1.0))
-        marg = hidden.marginal
-        g1 = self._rng.standard_normal(n)
-        g2 = self._rng.standard_normal(n)
+        s = hidden.marginal.draw(self._rng, n)
         g3 = self._rng.standard_normal(n)
-        s = marg.scale * np.asarray(marg.latent_eval(g1)) + marg.sigma * g2
         return cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * g3
 
     def _sample_monomial_coords(self, query: MonomialQuery, n: int) -> np.ndarray:
@@ -281,10 +278,7 @@ class SqOracle:
         hidden = self._target.hidden
         v_s = hidden.v[list(query.indices)]
         w_c = math.sqrt(max(1.0 - float(v_s @ v_s), 0.0))
-        marg = hidden.marginal
-        g1 = self._rng.standard_normal(n)
-        g2 = self._rng.standard_normal(n)
-        s = marg.scale * np.asarray(marg.latent_eval(g1)) + marg.sigma * g2
+        s = hidden.marginal.draw(self._rng, n)
         g_s = self._rng.standard_normal((n, k))
         eta = self._rng.standard_normal(n)
         u = g_s - np.outer(g_s @ v_s + eta * w_c, v_s)
@@ -294,13 +288,8 @@ class SqOracle:
         if isinstance(self._target, NullTarget):
             return self._rng.standard_normal((n, self.d))
         hidden = self._target.hidden
-        marg = hidden.marginal
-        g1 = self._rng.standard_normal(n)
-        g2 = self._rng.standard_normal(n)
-        s = marg.scale * np.asarray(marg.latent_eval(g1)) + marg.sigma * g2
-        g = self._rng.standard_normal((n, hidden.d))
-        g -= np.outer(g @ hidden.v, hidden.v)
-        return g + np.outer(s, hidden.v)
+        s = hidden.marginal.draw(self._rng, n)
+        return hidden.embed(s, self._rng.standard_normal((n, hidden.d)))
 
     @property
     def _range(self) -> tuple[float, float]:

@@ -65,10 +65,7 @@ def chi_squared_vs_gaussian(
     """Integral of D'(x)^2 / gaussian(x) minus 1 by feature-aligned panels."""
     if not 0.0 < dist.sigma <= 0.5:
         raise ValidationError("chi-squared check requires sigma in (0, 1/2]")
-    bound = dist.support_radius() + 8.0 * dist.sigma
-    if dist.inst is None:
-        bound = max(bound, 10.0)
-    breaks = feature_breakpoints(-bound, bound, dist.feature_points(), dist.sigma)
+    breaks = _plane_breaks(dist, 8.0)
 
     def integrand(x):
         dens = dist.density(x)

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import bump_moment_closed
 from scipy import integrate
 
 from momentforge import (
@@ -23,7 +24,6 @@ from momentforge import (
     SqOracle,
     bump_eval,
     bump_moment,
-    bump_moment_closed,
     bump_moment_deps,
     bump_moment_dh,
     chi_squared_vs_gaussian,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bump_moment_closed
 from scipy import integrate
 
 from momentforge import (
@@ -12,7 +13,6 @@ from momentforge import (
     ValidationError,
     bump_eval,
     bump_moment,
-    bump_moment_closed,
     bump_moment_deps,
     bump_moment_dh,
     gaussian_quantile,

@@ -5,21 +5,23 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
+from oracles import (
+    double_fact_falling,
+    p_poly,
+    shifted_truncated_moment,
+    truncated_moment,
+)
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from momentforge import (
     QuadratureRule,
     ValidationError,
-    double_fact_falling,
     gaussian_cdf,
     gaussian_density,
     gaussian_quantile,
     hermite_rule,
-    p_poly,
     reduce_rule,
-    shifted_truncated_moment,
-    truncated_moment,
 )
 from momentforge.gaussian import double_factorial, gaussian_moment
 

@@ -55,3 +55,14 @@ class TestPanelIntegrate2D:
     def test_needs_one_panel_per_axis(self):
         with pytest.raises(ValidationError):
             panel_integrate_2d(correlated_gaussian_kernel(0.0), [0.0], [0.0, 1.0], 1e-8)
+
+    @pytest.mark.parametrize(
+        "x_breaks, y_breaks",
+        [([0.0, 1.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.5, 0.5])],
+    )
+    def test_unordered_breaks_rejected_on_every_axis(self, x_breaks, y_breaks):
+        # Unchecked, a descending axis flips the sign of the integral.
+        with pytest.raises(ValidationError):
+            panel_integrate_2d(
+                lambda gx, gy: np.ones((gx.size, gy.size)), x_breaks, y_breaks, 1e-8
+            )

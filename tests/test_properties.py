@@ -1,0 +1,49 @@
+"""Property tests on perturbations of the default m=5 build: serialization
+round-trips bit-exactly and the compiled network equals the instance."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from momentforge import compile_instance, instance_eval
+from momentforge.serialize import instance_from_payload, instance_payload
+
+property_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+# Relative height changes and ramp widths that keep the m=5 supports disjoint
+# (their narrowest gap is ~0.27, so two ramps of at most 0.1 still fit).
+height_factors = arrays(np.float64, 2, elements=st.floats(0.5, 1.5))
+ramps = st.floats(1e-5, 0.1)
+
+
+def perturbed(build5, factors, eps):
+    _, evolved, _ = build5
+    return evolved.with_state(evolved.left_heights() * factors, eps)
+
+
+@property_settings
+@given(factors=height_factors, eps=ramps)
+def test_instance_payload_round_trips_bit_exactly(build5, factors, eps):
+    inst = perturbed(build5, factors, eps)
+    text = json.dumps(instance_payload(inst))
+    rebuilt = instance_from_payload(json.loads(text))
+    assert rebuilt == inst
+    assert json.dumps(instance_payload(rebuilt)) == text
+
+
+@property_settings
+@given(
+    factors=height_factors,
+    eps=ramps,
+    z=arrays(np.float64, st.integers(1, 256), elements=st.floats(-5.0, 5.0)),
+)
+def test_compiled_network_equals_instance(build5, factors, eps, z):
+    # The telescoping ReLU sums cancel to the same 1e-9 * max|h| bound that
+    # the export regime meets (see test_network.TestCompile).
+    inst = perturbed(build5, factors, eps)
+    hmax = float(np.max(np.abs(inst.heights())))
+    err = np.max(np.abs(compile_instance(inst).eval(z) - instance_eval(inst, z)))
+    assert err <= 1e-9 * max(1.0, hmax)

@@ -13,10 +13,12 @@ from momentforge import (
     ProjectionQuery,
     SqOracle,
     ValidationError,
+    instance_eval,
     run_distinguisher,
     stat_query,
     vstat_query,
 )
+from momentforge.distributions import STREAM_ORACLE, rng_stream
 from momentforge.gaussian import gaussian_moment
 from momentforge.sq import CLIP_BASE, Algorithm, answer_sequence, build_algorithm
 
@@ -244,3 +246,62 @@ class TestDistinguishers:
         toy = Algorithm("toy", ("q1", "q2"), (0.0, 1.0), threshold=0.1)
         assert toy.decide([0.05, 1.05]) is False
         assert toy.decide([0.2, 1.0]) is True
+
+
+class TestHonestSamplingStreams:
+    """Each honest sampling path draws g1, g2, then its orthogonal draws from
+    the oracle's stream, in that order; rebuilt here by hand."""
+
+    SEED = 11
+    N = 257
+
+    @pytest.fixture(scope="class")
+    def planted(self, dist5):
+        v = np.arange(1.0, D_SMALL + 1.0)
+        v /= np.linalg.norm(v)
+        return PlantedTarget(HiddenDirectionDist(d=D_SMALL, v=v, marginal=dist5))
+
+    def marginal_draws(self, rng, marginal):
+        g1 = rng.standard_normal(self.N)
+        g2 = rng.standard_normal(self.N)
+        return marginal.scale * instance_eval(marginal.inst, g1) + marginal.sigma * g2
+
+    def test_projection_path(self, planted):
+        hidden = planted.hidden
+        u = np.zeros(D_SMALL)
+        u[:2] = (0.6, 0.8)
+        query = ProjectionQuery(direction=u, fn=np.tanh, label="proj")
+        oracle = make_oracle(planted, "honest", seed=self.SEED)
+        got = oracle._sample_projection(query, self.N)
+
+        rng = rng_stream(self.SEED, STREAM_ORACLE)
+        s = self.marginal_draws(rng, hidden.marginal)
+        g3 = rng.standard_normal(self.N)
+        cosine = float(u @ hidden.v)
+        want = cosine * s + math.sqrt(1.0 - cosine * cosine) * g3
+        assert np.array_equal(got, want)
+
+    def test_monomial_path(self, planted):
+        hidden = planted.hidden
+        query = MonomialQuery(indices=(0, 3), powers=(2, 1), label="mono")
+        oracle = make_oracle(planted, "honest", seed=self.SEED)
+        got = oracle._sample_monomial_coords(query, self.N)
+
+        rng = rng_stream(self.SEED, STREAM_ORACLE)
+        s = self.marginal_draws(rng, hidden.marginal)
+        g_s = rng.standard_normal((self.N, 2))
+        eta = rng.standard_normal(self.N)
+        v_s = hidden.v[[0, 3]]
+        w_c = math.sqrt(1.0 - float(v_s @ v_s))
+        want = g_s - np.outer(g_s @ v_s + eta * w_c, v_s) + np.outer(s, v_s)
+        assert np.array_equal(got, want)
+
+    def test_generic_callable_path(self, planted):
+        hidden = planted.hidden
+        got = make_oracle(planted, "honest", seed=self.SEED)._sample_full(self.N)
+
+        rng = rng_stream(self.SEED, STREAM_ORACLE)
+        s = self.marginal_draws(rng, hidden.marginal)
+        g = rng.standard_normal((self.N, D_SMALL))
+        want = g - np.outer(g @ hidden.v, hidden.v) + np.outer(s, hidden.v)
+        assert np.array_equal(got, want)
