@@ -275,7 +275,8 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
     reduced rule nodes and every bump gets the shared ramp width eps0.
 
     Raises SupportCollisionError if eps0 makes neighboring supports touch,
-    and ValidationError if the measured moment error at eps0 exceeds nu/2.
+    and ValidationError if the measured moment error at eps0 exceeds nu/2;
+    that error names a smaller eps0 whose moments pass, when it finds one.
     """
     if not eps0 > 0.0:
         raise ValidationError("eps0 must be positive")
@@ -318,15 +319,25 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
         nu=nu,
         intervals=tuple(intervals),
     )
-    worst = max(
-        abs(instance_pushforward_moment(inst, k) - gaussian_moment(k))
-        for k in range(1, m + 1)
-    )
+    worst = _moment_error(inst)
     if worst >= nu / 2.0:
-        raise ValidationError(
-            f"moment error {worst:.3e} at eps0={eps0:.1e} exceeds nu/2 = {nu / 2:.3e}"
-        )
+        message = f"moment error {worst:.3e} at eps0={eps0:.1e} exceeds nu/2 = {nu / 2:.3e}"
+        # The ramp error is linear in eps0: scale eps0 down to nu/2 with a
+        # margin, and name the result only if its moments pass.
+        feasible = float(f"{0.9 * eps0 * (nu / 2.0) / worst:.1e}")
+        narrow = tuple(replace(b, ramp=feasible) for b in bumps)
+        if _moment_error(replace(inst, bumps=narrow, eps=feasible)) < nu / 2.0:
+            message += f"; eps0={feasible:.1e} is feasible"
+        raise ValidationError(message)
     return inst
+
+
+def _moment_error(inst: BumpInstance) -> float:
+    """Largest |E[x^k] - E[g^k]| over the orders 1..m that the layout matches."""
+    return max(
+        abs(instance_pushforward_moment(inst, k) - gaussian_moment(k))
+        for k in range(1, inst.m + 1)
+    )
 
 
 def instance_pushforward_moment(inst: BumpInstance, k: int) -> float:

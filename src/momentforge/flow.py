@@ -8,6 +8,11 @@ B = diag(2, 4, ..., m-1).  Integrating heights along that direction with an
 embedded Runge-Kutta 4(5) pair keeps the moments constant while the maximum
 slope max|h_i| / ramp shrinks.
 
+Each flow state is assembled once: its system gives the direction, sigma_min
+and the tracked moments (the column sums of Z), and the direction at an
+accepted step's end point is the first stage of the next trial step, so an
+accepted step costs six systems.
+
 Guards: the solve aborts (ConditioningBreakdown) when the smallest singular
 value of Z falls under a floor proportional to its norm; the horizon is
 capped so bump supports keep a positive separation margin; runs abort if any
@@ -43,6 +48,11 @@ __all__ = [
 ]
 
 _HEIGHT_FLOOR = 1e-9  # A(h) is singular at h = 0; abort well before that.
+_RTOL = _ATOL = 1e-10  # per-step local error tolerance on the heights
+_SIGMA_FLOOR_FACTOR = 1e-12  # abort when sigma_min(Z) < this * sigma_max(Z)
+_COLLISION_FRACTION = 0.1  # supports keep this share of their initial gap
+_DIRECTION_CEILING = 1e8  # abort once max |v| exceeds this
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,7 @@ def flow_direction(
     t: float,
     left_heights: np.ndarray,
     inst: BumpInstance,
-    sigma_floor_factor: float = 1e-12,
+    sigma_floor_factor: float = _SIGMA_FLOOR_FACTOR,
 ) -> np.ndarray:
     """Height velocity v with nabla_{(v,1)} mu = 0 at (left_heights, eps0 + t).
 
@@ -193,9 +203,9 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def _rkf45_step(rhs, t, y, h):
-    """One Fehlberg trial step; returns (y5, error_vector)."""
-    k = [rhs(t, y)]
+def _rkf45_step(rhs, t, y, h, k0):
+    """One Fehlberg trial step from (t, y) given k0 = rhs(t, y); returns (y5, error_vector)."""
+    k = [k0]
     for stage in range(1, 6):
         incr = sum(a * ki for a, ki in zip(_RKF_A[stage], k))
         k.append(rhs(t + _RKF_C[stage] * h, y + h * incr))
@@ -205,33 +215,22 @@ def _rkf45_step(rhs, t, y, h):
 
 
 def evolve(
-    inst: BumpInstance,
-    target: SlopeTarget,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-    sigma_floor_factor: float = 1e-12,
-    collision_fraction: float = 0.1,
-    direction_ceiling: float = 1e8,
-    max_steps: int = 100_000,
-    project: bool = True,
+    inst: BumpInstance, target: SlopeTarget, *, project: bool = True
 ) -> tuple[BumpInstance, EvolutionTrace]:
     """Integrate the height flow from the instance's current state.
 
     Stops at the earliest of: target reached, support-collision budget
-    exhausted (the horizon is capped so supports keep collision_fraction of
-    their initial gap), or a conditioning/height/direction guard.  Guards
+    exhausted (the horizon is capped so supports keep a tenth of their
+    initial gap), or a conditioning/height/direction guard.  Guards
     before any progress raise; after progress the last valid state is
     returned with target_reached False and the reason recorded.
     """
     if inst.eps <= 0.0:
         raise ValidationError("evolution requires a positive initial ramp width")
     eps0 = inst.eps
-    mu0 = moment_vector(inst)
-    residual_scale = max(1.0, float(np.max(np.abs(mu0))))
 
     min_gap0 = float(np.min(inst.support_gaps()))
-    t_guard = 0.5 * (1.0 - collision_fraction) * min_gap0
+    t_guard = 0.5 * (1.0 - _COLLISION_FRACTION) * min_gap0
     if target.eps_target is not None:
         if target.eps_target < eps0:
             raise ValidationError("eps_target must be >= current ramp width")
@@ -240,22 +239,12 @@ def evolve(
         t_request = math.inf
     t_cap = min(t_request, t_guard)
     if t_cap <= 0.0 and t_request > 0.0:
-        raise SupportCollisionError(
-            int(np.argmin(inst.support_gaps())),
-            int(np.argmin(inst.support_gaps())) + 1,
-            min_gap0,
-        )
+        i = int(np.argmin(inst.support_gaps()))
+        raise SupportCollisionError(i, i + 1, min_gap0)
 
-    def rhs(t: float, h_left: np.ndarray) -> np.ndarray:
-        state = inst.with_state(h_left, eps0 + t)
-        return _solve_direction(build_system(state), t, sigma_floor_factor)
-
-    def probe(t: float, h_left: np.ndarray):
-        state = inst.with_state(h_left, eps0 + t)
-        system = build_system(state)
-        w = _solve_direction(system, t, sigma_floor_factor)
-        resid = np.abs(moment_vector(state) - mu0)
-        return system.sigma_min, w, resid
+    def evaluate(t: float, h_left: np.ndarray) -> tuple[FlowSystem, np.ndarray]:
+        system = build_system(inst.with_state(h_left, eps0 + t))
+        return system, _solve_direction(system, t, _SIGMA_FLOOR_FACTOR)
 
     trace = EvolutionTrace()
 
@@ -264,8 +253,10 @@ def evolve(
 
     t = 0.0
     y = inst.left_heights().copy()
-    sigma0, w0, resid0 = probe(t, y)
-    trace.record(t, eps0, y, sigma0, resid0, 0.0, np.max(np.abs(w0)))
+    system, w = evaluate(t, y)
+    mu0 = system.Z.sum(axis=0)
+    residual_scale = max(1.0, float(np.max(np.abs(mu0))))
+    trace.record(t, eps0, y, system.sigma_min, np.zeros_like(mu0), 0.0, np.max(np.abs(w)))
 
     if t_request == 0.0 or (
         target.slope_target is not None and slope_at(y, eps0) <= target.slope_target
@@ -277,11 +268,10 @@ def evolve(
     max_step = t_cap / 20.0 if math.isfinite(t_cap) else t_guard / 20.0
     h = max_step / 10.0
     h_min = max(t_cap * 1e-14, 1e-18)
-    prev_sigma = sigma0
     stop_reason = ""
     reached = False
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t_cap:
             stop_reason = (
                 "target-reached" if t_request <= t_guard else "collision-guard"
@@ -289,24 +279,15 @@ def evolve(
             reached = t_request <= t_guard
             break
         h = min(h, max_step, t_cap - t)
-        try:
-            y_new, err = _rkf45_step(rhs, t, y, h)
-        except (ConditioningBreakdown, SupportCollisionError) as guard:
-            if h > h_min:
-                h = max(h / 2.0, h_min * 0.99)
-                continue
-            if len(trace.times) <= 1:
-                raise
-            stop_reason = f"guard:{type(guard).__name__}"
-            break
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm > 1.0 and h > h_min:
-            h = max(h * max(0.2, 0.9 * err_norm ** -0.2), h_min * 0.99)
-            continue
         t_new = t + h
         try:
-            sigma_new, w_new, resid_new = probe(t_new, y_new)
+            y_new, err = _rkf45_step(lambda s, v: evaluate(s, v)[1], t, y, h, w)
+            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if err_norm > 1.0 and h > h_min:
+                h = max(h * max(0.2, 0.9 * err_norm ** -0.2), h_min * 0.99)
+                continue
+            system_new, w_new = evaluate(t_new, y_new)
         except (ConditioningBreakdown, SupportCollisionError) as guard:
             if h > h_min:
                 h = max(h / 2.0, h_min * 0.99)
@@ -315,18 +296,19 @@ def evolve(
                 raise
             stop_reason = f"guard:{type(guard).__name__}"
             break
-        if sigma_new < 0.5 * prev_sigma and h > h_min:
+        if system_new.sigma_min < 0.5 * system.sigma_min and h > h_min:
             h = max(h / 2.0, h_min * 0.99)
             continue
         if float(np.min(np.abs(y_new))) < _HEIGHT_FLOOR:
             stop_reason = "guard:height-vanishing"
             break
-        if float(np.max(np.abs(w_new))) > direction_ceiling:
+        if float(np.max(np.abs(w_new))) > _DIRECTION_CEILING:
             stop_reason = "guard:direction-ceiling"
             break
 
-        t, y, prev_sigma = t_new, y_new, sigma_new
-        trace.record(t, eps0 + t, y, sigma_new, resid_new, h, np.max(np.abs(w_new)))
+        t, y, system, w = t_new, y_new, system_new, w_new
+        resid = np.abs(system.Z.sum(axis=0) - mu0)
+        trace.record(t, eps0 + t, y, system.sigma_min, resid, h, np.max(np.abs(w)))
         if target.slope_target is not None and slope_at(y, eps0 + t) <= target.slope_target:
             stop_reason = "target-reached"
             reached = True
@@ -341,7 +323,7 @@ def evolve(
 
     final = inst.with_state(y, eps0 + t)
     if project and len(trace.times) > 1:
-        final, before, after = _project_moments(final, mu0)
+        final, before, after = _project_moments(final, system, mu0)
         trace.projection_applied = True
         trace.residual_before_projection = before / residual_scale
         trace.residual_after_projection = after / residual_scale
@@ -349,22 +331,23 @@ def evolve(
 
 
 def _project_moments(
-    inst: BumpInstance, mu0: np.ndarray, max_iter: int = 8, tol: float = 1e-13
+    inst: BumpInstance, system: FlowSystem, mu0: np.ndarray
 ) -> tuple[BumpInstance, float, float]:
-    """Newton-correct left-half heights so the tracked moments match mu0."""
-    state = inst
-    before = float(np.max(np.abs(moment_vector(state) - mu0)))
-    for _ in range(max_iter):
-        resid = moment_vector(state) - mu0
-        if float(np.max(np.abs(resid))) <= tol * max(1.0, float(np.max(np.abs(mu0)))):
+    """Newton-correct left-half heights so the tracked moments, the column
+    sums of the instance's system Z, match mu0 to 1e-13 relative."""
+    resid = system.Z.sum(axis=0) - mu0
+    before = float(np.max(np.abs(resid)))
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(mu0))))
+    for _ in range(8):
+        if float(np.max(np.abs(resid))) <= tol:
             break
-        system = build_system(state)
         # d mu_l / d h_i = (2l / h_i) Z[i, l]
         jac = (system.moment_orders[:, None] * system.Z.T) * system.inv_heights[None, :]
         delta = np.linalg.solve(jac, resid)
-        state = state.with_state(state.left_heights() - delta, state.eps)
-    after = float(np.max(np.abs(moment_vector(state) - mu0)))
-    return state, before, after
+        inst = inst.with_state(inst.left_heights() - delta, inst.eps)
+        system = build_system(inst)
+        resid = system.Z.sum(axis=0) - mu0
+    return inst, before, float(np.max(np.abs(resid)))
 
 
 @dataclass(frozen=True)

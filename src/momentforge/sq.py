@@ -262,34 +262,37 @@ class SqOracle:
 
     # -- sampling paths ------------------------------------------------
 
-    def _sample_projection(self, query: ProjectionQuery, n: int) -> np.ndarray:
-        if isinstance(self._target, NullTarget):
-            return self._rng.standard_normal(n)
-        hidden = self._target.hidden
+    @staticmethod
+    def _sample_projection(query: ProjectionQuery, target, rng, n: int) -> np.ndarray:
+        if isinstance(target, NullTarget):
+            return rng.standard_normal(n)
+        hidden = target.hidden
         cosine = float(np.clip(query.direction @ hidden.v, -1.0, 1.0))
-        s = hidden.marginal.draw(self._rng, n)
-        g3 = self._rng.standard_normal(n)
+        s = hidden.marginal.draw(rng, n)
+        g3 = rng.standard_normal(n)
         return cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * g3
 
-    def _sample_monomial_coords(self, query: MonomialQuery, n: int) -> np.ndarray:
+    @staticmethod
+    def _sample_monomial_coords(query: MonomialQuery, target, rng, n: int) -> np.ndarray:
         k = len(query.indices)
-        if isinstance(self._target, NullTarget):
-            return self._rng.standard_normal((n, k))
-        hidden = self._target.hidden
+        if isinstance(target, NullTarget):
+            return rng.standard_normal((n, k))
+        hidden = target.hidden
         v_s = hidden.v[list(query.indices)]
         w_c = math.sqrt(max(1.0 - float(v_s @ v_s), 0.0))
-        s = hidden.marginal.draw(self._rng, n)
-        g_s = self._rng.standard_normal((n, k))
-        eta = self._rng.standard_normal(n)
+        s = hidden.marginal.draw(rng, n)
+        g_s = rng.standard_normal((n, k))
+        eta = rng.standard_normal(n)
         u = g_s - np.outer(g_s @ v_s + eta * w_c, v_s)
         return u + np.outer(s, v_s)
 
-    def _sample_full(self, n: int) -> np.ndarray:
-        if isinstance(self._target, NullTarget):
-            return self._rng.standard_normal((n, self.d))
-        hidden = self._target.hidden
-        s = hidden.marginal.draw(self._rng, n)
-        return hidden.embed(s, self._rng.standard_normal((n, hidden.d)))
+    @staticmethod
+    def _sample_full(target, rng, n: int) -> np.ndarray:
+        if isinstance(target, NullTarget):
+            return rng.standard_normal((n, target.d))
+        hidden = target.hidden
+        s = hidden.marginal.draw(rng, n)
+        return hidden.embed(s, rng.standard_normal((n, hidden.d)))
 
     @property
     def _range(self) -> tuple[float, float]:
@@ -313,12 +316,12 @@ class SqOracle:
             self.range_violations += 1
         return clipped
 
-    def _honest_values(self, query, n: int) -> np.ndarray:
+    def _honest_values(self, query, target, rng, n: int) -> np.ndarray:
         if isinstance(query, ProjectionQuery):
-            return self._apply_query(query, self._sample_projection(query, n))
+            return self._apply_query(query, self._sample_projection(query, target, rng, n))
         if isinstance(query, MonomialQuery):
-            return self._apply_query(query, self._sample_monomial_coords(query, n))
-        return self._apply_query(query, self._sample_full(n))
+            return self._apply_query(query, self._sample_monomial_coords(query, target, rng, n))
+        return self._apply_query(query, self._sample_full(target, rng, n))
 
     # -- exact expectation paths -----------------------------------------
 
@@ -359,17 +362,7 @@ class SqOracle:
         if self.fallback_samples > 0:
             label = getattr(query, "label", repr(query))
             rng = _label_rng(label + (":sq" if squared else ""))
-            saved = self._rng
-            self._rng = rng
-            try:
-                if isinstance(target, NullTarget):
-                    vals = self._apply_query(
-                        query, rng.standard_normal((self.fallback_samples, target.d))
-                    )
-                else:
-                    vals = self._honest_values(query, self.fallback_samples)
-            finally:
-                self._rng = saved
+            vals = self._honest_values(query, target, rng, self.fallback_samples)
             if squared:
                 vals = vals * vals
             return float(np.mean(vals))
@@ -383,13 +376,13 @@ class SqOracle:
         if self.mode == "honest":
             if self.is_vstat:
                 n = max(int(math.ceil(4.0 * self.t)), 2)
-                vals = self._honest_values(query, n)
+                vals = self._honest_values(query, self._target, self._rng, n)
                 answer = float(np.mean(vals))
                 var = float(np.var(vals, ddof=1))
                 tol = max(1.0 / self.t, math.sqrt(max(var, 0.0) / self.t))
             else:
                 n = int(math.ceil(4.0 / (self.tau * self.tau)))
-                vals = self._honest_values(query, n)
+                vals = self._honest_values(query, self._target, self._rng, n)
                 answer = float(np.mean(vals))
                 tol = self.tau
         else:

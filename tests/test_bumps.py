@@ -1,6 +1,7 @@
 """Bump functions, their pushforward moments, and the layout construction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,18 @@ class TestLayout:
         reduced = reduce_rule(hermite_rule(5))
         with pytest.raises(ValidationError):
             layout(reduced, 5e-3, 1e-4)
+
+    @pytest.mark.parametrize("m", [7, 9, 11, 13])
+    def test_moment_error_names_a_feasible_eps0(self, m):
+        # The default eps0 = 1e-6 is too wide for these orders; the error
+        # names a width that layout accepts.
+        reduced = reduce_rule(hermite_rule(m))
+        with pytest.raises(ValidationError) as excinfo:
+            layout(reduced, 1e-6, 1e-4)
+        named = re.search(r"eps0=(\S+) is feasible", str(excinfo.value))
+        assert named is not None
+        inst = layout(reduced, float(named.group(1)), 1e-4)
+        assert inst.eps < 1e-6
 
     def test_eps0_must_be_positive(self):
         reduced = reduce_rule(hermite_rule(3))

@@ -20,6 +20,7 @@ from momentforge import (
     vandermonde_sigma_check,
 )
 from momentforge.bumps import bump_moment, instance_pushforward_moment
+from momentforge import flow
 from momentforge.flow import _solve_direction
 from momentforge.gaussian import gaussian_interval_mass
 
@@ -179,6 +180,32 @@ class TestEvolve:
         assert trace.projection_applied
         assert trace.residual_after_projection <= 1e-12
         assert trace.residual_after_projection <= trace.residual_before_projection + 1e-18
+
+    def test_one_system_per_stage(self, instance5, monkeypatch):
+        # An accepted step assembles its six Runge-Kutta stages and nothing
+        # else: the end point's system serves the residuals, sigma_min and the
+        # next step's first stage.  Only the initial state and the projection's
+        # Newton iterations add to that.
+        calls = {"all": 0, "projection": 0}
+        build = flow.build_system
+        project = flow._project_moments
+
+        def counting_build(state):
+            calls["all"] += 1
+            return build(state)
+
+        def counting_project(*args, **kwargs):
+            before = calls["all"]
+            result = project(*args, **kwargs)
+            calls["projection"] += calls["all"] - before
+            return result
+
+        monkeypatch.setattr(flow, "build_system", counting_build)
+        monkeypatch.setattr(flow, "_project_moments", counting_project)
+        _, trace = evolve(instance5, SlopeTarget(eps_target=1e-3))
+        steps = len(trace.times) - 1
+        assert trace.target_reached and steps > 0
+        assert calls["all"] - calls["projection"] <= 6 * steps + 1
 
     def test_target_validation(self, instance5):
         with pytest.raises(ValidationError):

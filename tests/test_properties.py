@@ -1,5 +1,6 @@
 """Property tests on perturbations of the default m=5 build: serialization
-round-trips bit-exactly and the compiled network equals the instance."""
+round-trips bit-exactly, the compiled network equals the instance, and the
+flow system's column sums are the tracked moments."""
 
 import json
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentforge import compile_instance, instance_eval
+from momentforge import build_system, compile_instance, instance_eval, moment_vector
 from momentforge.serialize import instance_from_payload, instance_payload
 
 property_settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -47,3 +48,11 @@ def test_compiled_network_equals_instance(build5, factors, eps, z):
     hmax = float(np.max(np.abs(inst.heights())))
     err = np.max(np.abs(compile_instance(inst).eval(z) - instance_eval(inst, z)))
     assert err <= 1e-9 * max(1.0, hmax)
+
+
+@property_settings
+@given(factors=height_factors, eps=ramps)
+def test_system_column_sums_are_the_tracked_moments(build5, factors, eps):
+    # The flow reads its moment residuals from Z; the sums must be bit-identical.
+    inst = perturbed(build5, factors, eps)
+    assert np.array_equal(build_system(inst).Z.sum(axis=0), moment_vector(inst))

@@ -272,7 +272,7 @@ class TestHonestSamplingStreams:
         u[:2] = (0.6, 0.8)
         query = ProjectionQuery(direction=u, fn=np.tanh, label="proj")
         oracle = make_oracle(planted, "honest", seed=self.SEED)
-        got = oracle._sample_projection(query, self.N)
+        got = oracle._sample_projection(query, planted, oracle._rng, self.N)
 
         rng = rng_stream(self.SEED, STREAM_ORACLE)
         s = self.marginal_draws(rng, hidden.marginal)
@@ -285,7 +285,7 @@ class TestHonestSamplingStreams:
         hidden = planted.hidden
         query = MonomialQuery(indices=(0, 3), powers=(2, 1), label="mono")
         oracle = make_oracle(planted, "honest", seed=self.SEED)
-        got = oracle._sample_monomial_coords(query, self.N)
+        got = oracle._sample_monomial_coords(query, planted, oracle._rng, self.N)
 
         rng = rng_stream(self.SEED, STREAM_ORACLE)
         s = self.marginal_draws(rng, hidden.marginal)
@@ -298,7 +298,9 @@ class TestHonestSamplingStreams:
 
     def test_generic_callable_path(self, planted):
         hidden = planted.hidden
-        got = make_oracle(planted, "honest", seed=self.SEED)._sample_full(self.N)
+        got = SqOracle._sample_full(
+            planted, make_oracle(planted, "honest", seed=self.SEED)._rng, self.N
+        )
 
         rng = rng_stream(self.SEED, STREAM_ORACLE)
         s = self.marginal_draws(rng, hidden.marginal)
