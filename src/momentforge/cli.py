@@ -58,6 +58,8 @@ def _trace_payload(trace: EvolutionTrace) -> dict:
         "moment_residuals": [fnum_list(r) for r in trace.moment_residuals],
         "step_sizes": fnum_list(trace.step_sizes),
         "direction_norms": fnum_list(trace.direction_norms),
+        "newton_iterations": list(trace.newton_iterations),
+        "step_cuts": dict(trace.step_cuts),
         "target_reached": trace.target_reached,
         "stop_reason": trace.stop_reason,
         "projection": {
@@ -143,6 +145,8 @@ def _trace_from_payload(payload: dict) -> EvolutionTrace:
     ]
     trace.step_sizes = parse_float_list(payload["step_sizes"])
     trace.direction_norms = parse_float_list(payload["direction_norms"])
+    trace.newton_iterations = [int(n) for n in payload["newton_iterations"]]
+    trace.step_cuts = {cause: int(n) for cause, n in payload["step_cuts"].items()}
     trace.target_reached = bool(payload["target_reached"])
     trace.stop_reason = payload["stop_reason"]
     trace.projection_applied = bool(payload["projection"]["applied"])

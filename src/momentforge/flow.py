@@ -4,21 +4,24 @@ Widening every ramp at unit speed changes the tracked even pushforward
 moments; the flow direction cancels that change exactly by solving the linear
 system v' A Z B = b', where Z collects the left-half bump moments at even
 orders, b collects (minus) their ramp-width derivatives, A = diag(1/h_i) and
-B = diag(2, 4, ..., m-1).  Integrating heights along that direction with an
-embedded Runge-Kutta 4(5) pair keeps the moments constant while the maximum
-slope max|h_i| / ramp shrinks.
+B = diag(2, 4, ..., m-1).  The flow's trajectory is therefore the branch
+mu(h, eps) = mu(h0, eps0) through the initial heights, along which the
+maximum slope max|h_i| / ramp shrinks.
 
-Each flow state is assembled once: its system gives the direction, sigma_min
-and the tracked moments (the column sums of Z), and the direction at an
-accepted step's end point is the first stage of the next trial step, so an
-accepted step costs six systems.
+evolve follows that branch by predictor-corrector continuation: a tangent
+step along the current direction to the next ramp width, then Newton on the
+tracked moments (the column sums of Z) with Jacobian (k / h) Z'.  The step
+in eps doubles after an accepted step and halves when the corrector fails,
+a guard fires or sigma_min falls below half its previous value.  Each flow
+state is assembled once; its system gives the residual, sigma_min and the
+next direction.  The same corrector, run to 1e-13 relative, is the optional
+final polish reported separately in the trace.
 
 Guards: the solve aborts (ConditioningBreakdown) when the smallest singular
 value of Z falls under a floor proportional to its norm; the horizon is
-capped so bump supports keep a positive separation margin; runs abort if any
-height approaches zero or the direction magnitude explodes.  An optional
-Newton correction after integration repays the integrator's O(tol) moment
-drift down to machine precision and is reported separately in the trace.
+capped so bump supports keep a positive separation margin; runs stop if any
+height approaches zero, the direction magnitude explodes or step cuts fall
+below a floor (near a fold), never stepping past the last solved state.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ __all__ = [
 ]
 
 _HEIGHT_FLOOR = 1e-9  # A(h) is singular at h = 0; abort well before that.
-_RTOL = _ATOL = 1e-10  # per-step local error tolerance on the heights
+_STEP_TOL = 1e-10  # corrector tolerance per step, relative to max(1, max|mu0|)
+_POLISH_TOL = 1e-13  # final polish tolerance when project=True
+_NEWTON_MAX = 8  # Newton steps per corrector call
+_STEP_FLOOR = 1e-12  # end the run once a cut step is below this share of eps
 _SIGMA_FLOOR_FACTOR = 1e-12  # abort when sigma_min(Z) < this * sigma_max(Z)
 _COLLISION_FRACTION = 0.1  # supports keep this share of their initial gap
 _DIRECTION_CEILING = 1e8  # abort once max |v| exceeds this
@@ -165,13 +171,20 @@ class EvolutionTrace:
     moment_residuals: list[np.ndarray] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     direction_norms: list[float] = field(default_factory=list)
+    newton_iterations: list[int] = field(default_factory=list)
+    # Rejected continuation steps, by the cause that halved the step.
+    step_cuts: dict[str, int] = field(
+        default_factory=lambda: {"corrector": 0, "guard": 0, "sigma-drop": 0}
+    )
     target_reached: bool = False
     stop_reason: str = ""
     projection_applied: bool = False
     residual_before_projection: float = math.nan
     residual_after_projection: float = math.nan
 
-    def record(self, t, eps, h, sigma_min, residual, step, direction_norm):
+    def record(
+        self, t, eps, h, sigma_min, residual, step, direction_norm, newton_iterations
+    ):
         self.times.append(float(t))
         self.eps_values.append(float(eps))
         self.heights.append(np.array(h, dtype=float))
@@ -179,6 +192,7 @@ class EvolutionTrace:
         self.moment_residuals.append(np.array(residual, dtype=float))
         self.step_sizes.append(float(step))
         self.direction_norms.append(float(direction_norm))
+        self.newton_iterations.append(int(newton_iterations))
 
     def max_moment_drift(self) -> float:
         return float(max(np.max(r) for r in self.moment_residuals))
@@ -188,42 +202,41 @@ class EvolutionTrace:
         return float(max(np.max(np.abs(h - first)) for h in self.heights))
 
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated and the
-# difference to the fourth-order one estimates the local error.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-
-
-def _rkf45_step(rhs, t, y, h, k0):
-    """One Fehlberg trial step from (t, y) given k0 = rhs(t, y); returns (y5, error_vector)."""
-    k = [k0]
-    for stage in range(1, 6):
-        incr = sum(a * ki for a, ki in zip(_RKF_A[stage], k))
-        k.append(rhs(t + _RKF_C[stage] * h, y + h * incr))
-    y5 = y + h * sum(b * ki for b, ki in zip(_RKF_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_RKF_B4, k))
-    return y5, y5 - y4
+def _correct(
+    state: BumpInstance, system: FlowSystem, mu0: np.ndarray, tol: float
+) -> tuple[BumpInstance, FlowSystem, float, int]:
+    """Newton on the tracked moments, the column sums of Z, at the state's
+    ramp width.  A Newton step is kept only if it lowers the residual; returns
+    the best state, its system, its max-abs residual and the steps kept."""
+    resid = system.Z.sum(axis=0) - mu0
+    norm = float(np.max(np.abs(resid)))
+    for kept in range(_NEWTON_MAX):
+        if norm <= tol:
+            return state, system, norm, kept
+        # d mu_l / d h_i = (2l / h_i) Z[i, l]
+        jac = (system.moment_orders[:, None] * system.Z.T) * system.inv_heights[None, :]
+        heights = state.left_heights() - np.linalg.solve(jac, resid)
+        trial = state.with_state(heights, state.eps)
+        trial_system = build_system(trial)
+        trial_resid = trial_system.Z.sum(axis=0) - mu0
+        trial_norm = float(np.max(np.abs(trial_resid)))
+        if not trial_norm < norm:
+            return state, system, norm, kept
+        state, system, resid, norm = trial, trial_system, trial_resid, trial_norm
+    return state, system, norm, _NEWTON_MAX
 
 
 def evolve(
     inst: BumpInstance, target: SlopeTarget, *, project: bool = True
 ) -> tuple[BumpInstance, EvolutionTrace]:
-    """Integrate the height flow from the instance's current state.
+    """Follow the conserved-moment branch from the instance's current state.
 
     Stops at the earliest of: target reached, support-collision budget
     exhausted (the horizon is capped so supports keep a tenth of their
-    initial gap), or a conditioning/height/direction guard.  Guards
-    before any progress raise; after progress the last valid state is
-    returned with target_reached False and the reason recorded.
+    initial gap), or a guard: step cuts below the floor, a vanishing height
+    or an exploding direction.  Guards before any progress raise; after
+    progress the last valid state is returned with target_reached False and
+    the reason recorded.
     """
     if inst.eps <= 0.0:
         raise ValidationError("evolution requires a positive initial ramp width")
@@ -242,112 +255,84 @@ def evolve(
         i = int(np.argmin(inst.support_gaps()))
         raise SupportCollisionError(i, i + 1, min_gap0)
 
-    def evaluate(t: float, h_left: np.ndarray) -> tuple[FlowSystem, np.ndarray]:
-        system = build_system(inst.with_state(h_left, eps0 + t))
-        return system, _solve_direction(system, t, _SIGMA_FLOOR_FACTOR)
-
     trace = EvolutionTrace()
-
-    def slope_at(h_left: np.ndarray, eps: float) -> float:
-        return float(np.max(np.abs(h_left))) / eps
-
     t = 0.0
-    y = inst.left_heights().copy()
-    system, w = evaluate(t, y)
+    state = inst
+    system = build_system(state)
+    w = _solve_direction(system, t, _SIGMA_FLOOR_FACTOR)
     mu0 = system.Z.sum(axis=0)
     residual_scale = max(1.0, float(np.max(np.abs(mu0))))
-    trace.record(t, eps0, y, system.sigma_min, np.zeros_like(mu0), 0.0, np.max(np.abs(w)))
+    trace.record(
+        t, eps0, inst.left_heights(), system.sigma_min, np.zeros_like(mu0), 0.0,
+        np.max(np.abs(w)), 0,
+    )
 
-    if t_request == 0.0 or (
-        target.slope_target is not None and slope_at(y, eps0) <= target.slope_target
-    ):
-        trace.target_reached = True
-        trace.stop_reason = "target-at-start"
-        return inst, trace
-
-    max_step = t_cap / 20.0 if math.isfinite(t_cap) else t_guard / 20.0
-    h = max_step / 10.0
-    h_min = max(t_cap * 1e-14, 1e-18)
-    stop_reason = ""
-    reached = False
-
+    step = eps0
     for _ in range(_MAX_STEPS):
+        t_stop = t_cap
+        if target.slope_target is not None:
+            peak = float(np.max(np.abs(state.left_heights())))
+            if peak / state.eps <= target.slope_target:
+                trace.target_reached = True
+                trace.stop_reason = "target-reached"
+                break
+            # Just past the width at which the current heights meet the slope
+            # target, so rounding cannot leave the slope a hair above it.
+            t_stop = min(t_cap, peak / (target.slope_target * (1.0 - 1e-9)) - eps0)
         if t >= t_cap:
-            stop_reason = (
-                "target-reached" if t_request <= t_guard else "collision-guard"
+            trace.target_reached = t_request <= t_guard
+            trace.stop_reason = (
+                "target-reached" if trace.target_reached else "collision-guard"
             )
-            reached = t_request <= t_guard
             break
-        h = min(h, max_step, t_cap - t)
-        t_new = t + h
+        step = min(step, t_stop - t)
+        t_new = t + step
+        cause = ""
         try:
-            y_new, err = _rkf45_step(lambda s, v: evaluate(s, v)[1], t, y, h, w)
-            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if err_norm > 1.0 and h > h_min:
-                h = max(h * max(0.2, 0.9 * err_norm ** -0.2), h_min * 0.99)
+            predicted = state.with_state(state.left_heights() + step * w, eps0 + t_new)
+            new_state, new_system, norm, iterations = _correct(
+                predicted, build_system(predicted), mu0, _STEP_TOL * residual_scale
+            )
+            if norm > _STEP_TOL * residual_scale:
+                cause = "corrector"
+            elif new_system.sigma_min < 0.5 * system.sigma_min:
+                cause = "sigma-drop"
+            else:
+                w_new = _solve_direction(new_system, t_new, _SIGMA_FLOOR_FACTOR)
+        except (ConditioningBreakdown, SupportCollisionError) as exc:
+            cause, guard = "guard", exc
+        if cause:
+            trace.step_cuts[cause] += 1
+            step /= 2.0
+            if step >= _STEP_FLOOR * state.eps:
                 continue
-            system_new, w_new = evaluate(t_new, y_new)
-        except (ConditioningBreakdown, SupportCollisionError) as guard:
-            if h > h_min:
-                h = max(h / 2.0, h_min * 0.99)
-                continue
-            if len(trace.times) <= 1:
-                raise
-            stop_reason = f"guard:{type(guard).__name__}"
+            if cause == "guard" and len(trace.times) <= 1:
+                raise guard
+            trace.stop_reason = f"guard:step-underflow({cause})"
             break
-        if system_new.sigma_min < 0.5 * system.sigma_min and h > h_min:
-            h = max(h / 2.0, h_min * 0.99)
-            continue
-        if float(np.min(np.abs(y_new))) < _HEIGHT_FLOOR:
-            stop_reason = "guard:height-vanishing"
+        if float(np.min(np.abs(new_state.left_heights()))) < _HEIGHT_FLOOR:
+            trace.stop_reason = "guard:height-vanishing"
             break
         if float(np.max(np.abs(w_new))) > _DIRECTION_CEILING:
-            stop_reason = "guard:direction-ceiling"
+            trace.stop_reason = "guard:direction-ceiling"
             break
 
-        t, y, system, w = t_new, y_new, system_new, w_new
-        resid = np.abs(system.Z.sum(axis=0) - mu0)
-        trace.record(t, eps0 + t, y, system.sigma_min, resid, h, np.max(np.abs(w)))
-        if target.slope_target is not None and slope_at(y, eps0 + t) <= target.slope_target:
-            stop_reason = "target-reached"
-            reached = True
-            break
-        if err_norm > 0.0:
-            h = h * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        t, state, system, w = t_new, new_state, new_system, w_new
+        trace.record(
+            t, eps0 + t, state.left_heights(), system.sigma_min,
+            np.abs(system.Z.sum(axis=0) - mu0), step, np.max(np.abs(w)), iterations,
+        )
+        step *= 2.0
     else:
-        stop_reason = "max-steps"
+        trace.stop_reason = "max-steps"
 
-    trace.stop_reason = stop_reason or "target-not-reached"
-    trace.target_reached = reached
-
-    final = inst.with_state(y, eps0 + t)
     if project and len(trace.times) > 1:
-        final, before, after = _project_moments(final, system, mu0)
+        before = float(np.max(trace.moment_residuals[-1]))
+        state, _, after, _ = _correct(state, system, mu0, _POLISH_TOL * residual_scale)
         trace.projection_applied = True
         trace.residual_before_projection = before / residual_scale
         trace.residual_after_projection = after / residual_scale
-    return final, trace
-
-
-def _project_moments(
-    inst: BumpInstance, system: FlowSystem, mu0: np.ndarray
-) -> tuple[BumpInstance, float, float]:
-    """Newton-correct left-half heights so the tracked moments, the column
-    sums of the instance's system Z, match mu0 to 1e-13 relative."""
-    resid = system.Z.sum(axis=0) - mu0
-    before = float(np.max(np.abs(resid)))
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(mu0))))
-    for _ in range(8):
-        if float(np.max(np.abs(resid))) <= tol:
-            break
-        # d mu_l / d h_i = (2l / h_i) Z[i, l]
-        jac = (system.moment_orders[:, None] * system.Z.T) * system.inv_heights[None, :]
-        delta = np.linalg.solve(jac, resid)
-        inst = inst.with_state(inst.left_heights() - delta, inst.eps)
-        system = build_system(inst)
-        resid = system.Z.sum(axis=0) - mu0
-    return inst, before, float(np.max(np.abs(resid)))
+    return state, trace
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ from scipy import stats
 
 from momentforge import QuadratureError
 from momentforge import verify as verify_module
-from momentforge.cli import main, network_from_payload
+from momentforge.cli import (
+    _trace_from_payload,
+    _trace_payload,
+    main,
+    network_from_payload,
+)
 from momentforge.serialize import (
     instance_from_payload,
     load_json,
@@ -48,6 +53,12 @@ class TestBuild:
         heights = inst.heights()
         assert heights[0] == pytest.approx(-heights[1], abs=1e-12)
         assert data["flags"]["target_reached"]
+        # The trace's continuation counters survive a write and a read.
+        trace = _trace_from_payload(data["trace"])
+        assert len(trace.newton_iterations) == len(trace.times)
+        assert trace.newton_iterations[0] == 0
+        assert set(trace.step_cuts) == {"corrector", "guard", "sigma-drop"}
+        assert _trace_payload(trace) == data["trace"]
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"

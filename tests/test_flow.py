@@ -24,6 +24,31 @@ from momentforge import flow
 from momentforge.flow import _solve_direction
 from momentforge.gaussian import gaussian_interval_mass
 
+# Final left-half heights at the CLI's default target, 1000 * eps0, from the
+# Fehlberg 4(5) integration with Newton projection that continuation replaced.
+RUNGE_KUTTA_HEIGHTS = {
+    (3, 1e-6): [-1.730873423714751],
+    (5, 1e-6): [-2.8567443586957935, -1.3532224012521026],
+    (7, 2e-7): [-3.746168668908063, -2.366010656075511, -1.1537831615062593],
+    (9, 1e-10): [
+        -4.512729503312028, -3.205425533985659, -2.0768476163950886,
+        -1.0232552710714462,
+    ],
+    (11, 1.5e-12): [
+        -5.187996579766246, -3.9361661802498595, -2.8651231293233184,
+        -1.8760350126117538, -0.9288689908585924,
+    ],
+    (13, 1e-12): [
+        -5.800112225378043, -4.5913948302037735, -3.563444288876652,
+        -2.6206899457151405, -1.725418376356414, -0.8566794880241233,
+    ],
+    (15, 1.7e-14): [
+        -6.363927823269431, -5.19009269965061, -4.196207701592432,
+        -3.2890824214936325, -2.432436826933006, -1.6067100688798575,
+        -0.7991290682465517,
+    ],
+}
+
 
 class TestBuildSystem:
     def test_m3_dimension_bookkeeping(self):
@@ -181,31 +206,54 @@ class TestEvolve:
         assert trace.residual_after_projection <= 1e-12
         assert trace.residual_after_projection <= trace.residual_before_projection + 1e-18
 
-    def test_one_system_per_stage(self, instance5, monkeypatch):
-        # An accepted step assembles its six Runge-Kutta stages and nothing
-        # else: the end point's system serves the residuals, sigma_min and the
-        # next step's first stage.  Only the initial state and the projection's
-        # Newton iterations add to that.
-        calls = {"all": 0, "projection": 0}
+    def test_default_build_system_count(self, instance5, monkeypatch):
+        # Continuation assembles one system per corrector iterate: the initial
+        # state, each predicted state, each kept Newton step and the polish.
+        calls = 0
         build = flow.build_system
-        project = flow._project_moments
 
         def counting_build(state):
-            calls["all"] += 1
+            nonlocal calls
+            calls += 1
             return build(state)
 
-        def counting_project(*args, **kwargs):
-            before = calls["all"]
-            result = project(*args, **kwargs)
-            calls["projection"] += calls["all"] - before
-            return result
-
         monkeypatch.setattr(flow, "build_system", counting_build)
-        monkeypatch.setattr(flow, "_project_moments", counting_project)
         _, trace = evolve(instance5, SlopeTarget(eps_target=1e-3))
-        steps = len(trace.times) - 1
-        assert trace.target_reached and steps > 0
-        assert calls["all"] - calls["projection"] <= 6 * steps + 1
+        assert trace.target_reached and trace.projection_applied
+        assert calls <= 40
+
+    def test_slope_target_lands_on_target(self, instance5):
+        evolved, trace = evolve(instance5, SlopeTarget(slope_target=1e4))
+        assert trace.target_reached
+        assert 0.99e4 <= evolved.max_slope() <= 1e4
+
+    @pytest.mark.parametrize(
+        "ceiling, reason",
+        [
+            (flow._DIRECTION_CEILING, "guard:direction-ceiling"),
+            (math.inf, "guard:step-underflow("),
+        ],
+    )
+    def test_fold_stops_with_a_typed_guard(self, ceiling, reason, monkeypatch):
+        # At m=13 two heights merge near eps = 6.2907e-4, short of the target.
+        # The run stops before that fold and names why; without the direction
+        # ceiling the step cuts reach their floor.  The polish keeps the
+        # better state, so it never raises the residual.
+        monkeypatch.setattr(flow, "_DIRECTION_CEILING", ceiling)
+        inst = layout(reduce_rule(hermite_rule(13)), 1e-12, 1e-4)
+        evolved, trace = evolve(inst, SlopeTarget(eps_target=1e-3))
+        assert not trace.target_reached
+        assert trace.stop_reason.startswith(reason)
+        assert evolved.eps < 6.291e-4
+        assert trace.residual_after_projection <= trace.residual_before_projection
+
+    @pytest.mark.parametrize("m, eps0", list(RUNGE_KUTTA_HEIGHTS))
+    def test_heights_match_the_runge_kutta_flow(self, m, eps0):
+        inst = layout(reduce_rule(hermite_rule(m)), eps0, 1e-4)
+        evolved, trace = evolve(inst, SlopeTarget(eps_target=1000.0 * eps0))
+        assert trace.target_reached
+        want = np.array(RUNGE_KUTTA_HEIGHTS[m, eps0])
+        assert np.all(np.abs(evolved.left_heights() - want) <= 1e-11 * np.abs(want))
 
     def test_target_validation(self, instance5):
         with pytest.raises(ValidationError):

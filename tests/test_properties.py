@@ -1,6 +1,7 @@
 """Property tests on perturbations of the default m=5 build: serialization
-round-trips bit-exactly, the compiled network equals the instance, and the
-flow system's column sums are the tracked moments."""
+round-trips bit-exactly, the compiled network equals the instance, the flow
+system's column sums are the tracked moments, and the smoothed density
+integrates to 1 with the moments of the binomial identity."""
 
 import json
 
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momentforge import build_system, compile_instance, instance_eval, moment_vector
+from momentforge import (
+    PushforwardDist,
+    build_system,
+    compile_instance,
+    instance_eval,
+    moment_vector,
+)
 from momentforge.serialize import instance_from_payload, instance_payload
 
 property_settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -56,3 +63,14 @@ def test_system_column_sums_are_the_tracked_moments(build5, factors, eps):
     # The flow reads its moment residuals from Z; the sums must be bit-identical.
     inst = perturbed(build5, factors, eps)
     assert np.array_equal(build_system(inst).Z.sum(axis=0), moment_vector(inst))
+
+
+@property_settings
+@given(factors=height_factors, eps=ramps, sigma=st.floats(0.01, 0.5))
+def test_density_integrates_to_the_moment_identities(build5, factors, eps, sigma):
+    dist = PushforwardDist.from_instance(perturbed(build5, factors, eps), sigma)
+    assert abs(dist.law.expectation(lambda t: 1.0) - 1.0) <= 1e-9
+    for k in range(1, 7):
+        want = dist.moment(k)
+        got = dist.law.expectation(lambda t, k=k: t**k)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
