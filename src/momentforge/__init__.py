@@ -30,6 +30,7 @@ from .errors import (
     MomentForgeError,
     NumericGuardError,
     QuadratureError,
+    SeriesTruncationError,
     SupportCollisionError,
     ValidationError,
 )

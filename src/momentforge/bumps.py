@@ -41,6 +41,7 @@ __all__ = [
     "bump_moment_deps",
     "layout",
     "instance_pushforward_moment",
+    "instance_value_law",
 ]
 
 # Fixed-order Gauss-Legendre rule on [0,1] for the ramp integrals.
@@ -345,3 +346,26 @@ def instance_pushforward_moment(inst: BumpInstance, k: int) -> float:
     if k < 1:
         raise ValidationError("moment order must be >= 1")
     return float(sum(bump_moment(b, k) for b in inst.bumps))
+
+
+def instance_value_law(inst: BumpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete law (values, masses) of f(g), g ~ N(0,1): the zero region,
+    each plateau at its height, and both ramps of a bump on bump_moment's
+    64-node rule, so sum(masses * values**k) adds up bump_moment's terms."""
+    u = _GL_NODES
+    values = [np.zeros(1)]
+    masses = [np.zeros(1)]
+    for b in inst.bumps:
+        c, w, h, e = b.center, b.half_width, b.height, b.ramp
+        values.append(np.array([h]))
+        masses.append(np.array([gaussian_interval_mass(c - w, c + w)]))
+        if e > 0.0:
+            values.append(h * u)
+            masses.append(
+                e
+                * _GL_WEIGHTS
+                * (gaussian_density(c - e - w + e * u) + gaussian_density(c + e + w - e * u))
+            )
+    values, masses = np.concatenate(values), np.concatenate(masses)
+    masses[0] = 1.0 - masses[1:].sum()
+    return values, masses

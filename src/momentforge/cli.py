@@ -192,15 +192,23 @@ def cmd_verify(args) -> int:
         print(f"  moment k={k}: |error| = {err:.3e}  [{flag}]")
     print(f"  max slope: {report.slope_max:.6g}  weight bound: {report.weight_bound:.6g}")
     if report.chi_squared is not None:
+        chi = report.chi_squared
         print(
-            f"  chi^2(D', N(0,1)) = {report.chi_squared.value:.6g} "
-            f"(reference exp(cR^2)/sigma = {report.chi_squared.reference:.3g})"
+            f"  chi^2(D', N(0,1)) = {chi.value:.6g} "
+            f"(reference exp(cR^2)/sigma = {chi.reference:.3g})"
+        )
+        coeffs = " ".join(f"{a:+.2e}" for a in report.hermite_coefficients)
+        print(f"  Hermite spectrum a_1..a_{len(report.hermite_coefficients)}: {coeffs}")
+        print(
+            f"  chi^2 sums {chi.series.terms} terms, "
+            f"certified tail <= {chi.series.tail_bound:.1e}"
         )
     for check in report.pairwise_corr + report.tv_separation:
         flag = "ok" if check.passed else "FAIL"
         print(
             f"  {check.name} cos={check.cosine:g}: value {check.value:.3e} "
-            f"vs bound {check.bound:.3e} (margin {check.margin:+.3e}) [{flag}]"
+            f"vs bound {check.bound:.3e} (margin {check.margin:+.3e}, "
+            f"error {check.error_estimate:.1e}) [{flag}]"
         )
     print(
         f"  W1(D_0, D_T) = {report.w1_flow_distance:.4e} "

@@ -23,9 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .bumps import BumpInstance, instance_eval, instance_pushforward_moment
+from .bumps import (
+    BumpInstance,
+    instance_eval,
+    instance_pushforward_moment,
+    instance_value_law,
+)
 from .errors import ValidationError
-from .gaussian import gaussian_interval_mass, gaussian_moment
+from .gaussian import (
+    HERMITE_KAPPA,
+    gaussian_density,
+    gaussian_interval_mass,
+    gaussian_moment,
+    hermite_rows,
+)
 from .integrate import feature_breakpoints, panel_integrate_1d
 
 __all__ = [
@@ -37,7 +48,9 @@ __all__ = [
     "sample_hidden",
     "sample_null",
     "generate_directions",
+    "hidden_projection",
     "rng_stream",
+    "series_terms",
 ]
 
 # Stream ids for the counter-based generators, one per operation family.
@@ -129,14 +142,17 @@ class ProjectedLaw:
         base = max(reach) if reach else 0.0
         return base + tail_sigmas * max(self.width, 1e-6)
 
-    def expectation(self, fn, tol_abs: float = 1e-10) -> float:
-        """Integral of fn against this density by feature-aligned panels."""
+    def panel_breaks(self) -> np.ndarray:
+        """Panel edges aligned with this law's features, for its integrals."""
         bound = self.integration_bound()
-        breaks = feature_breakpoints(
+        return feature_breakpoints(
             -bound, bound, self.feature_points(), max(self.width, 1e-6)
         )
+
+    def expectation(self, fn, tol_abs: float = 1e-10) -> float:
+        """Integral of fn against this density by feature-aligned panels."""
         value, _ = panel_integrate_1d(
-            lambda t: fn(t) * self.density(t), breaks, tol_abs
+            lambda t: fn(t) * self.density(t), self.panel_breaks(), tol_abs
         )
         return value
 
@@ -191,6 +207,8 @@ class PushforwardDist:
         self.inst = inst
         self.sigma = float(sigma)
         self.scale = math.sqrt(1.0 - sigma * sigma)
+        self._spectrum: list[float] = []
+        self._spectrum_source = None
         if sigma > 0.0:
             if inst is None:
                 self._law = _identity_law(self.scale, self.sigma)
@@ -262,6 +280,53 @@ class PushforwardDist:
             )
         return total
 
+    def hermite_spectrum(self, terms: int) -> np.ndarray:
+        """a_0..a_terms, a_k = E[h_k(f(g))] for the orthonormal Hermite
+        polynomials h_k of gaussian.hermite_rows; kept and grown on demand.
+
+        By the Mehler identity c f(g1) + sqrt(1 - c^2) g2 has the density
+        phi(t) sum_k c^k a_k h_k(t) for |c| < 1.  a_1..a_m sit at the
+        moment-residual level.  The identity marginal has a_k = 0 for k >= 1.
+        """
+        if terms < 0:
+            raise ValidationError("spectrum length must be nonnegative")
+        if self.inst is None:
+            return np.eye(1, terms + 1)[0]
+        if self._spectrum_source is None:
+            values, masses = instance_value_law(self.inst)
+            self._spectrum_source = (masses, hermite_rows(values))
+        masses, rows = self._spectrum_source
+        while len(self._spectrum) <= terms:
+            self._spectrum.append(float(masses @ next(rows)))
+        return np.array(self._spectrum[: terms + 1])
+
+    def hermite_bound(self) -> float:
+        """Bound on |a_k| for every k >= 1: HERMITE_KAPPA * exp(R^2 / 4) with
+        R = max |height|, since f(g) stays in [-R, R]; 0 for the identity."""
+        if self.inst is None:
+            return 0.0
+        radius = float(np.max(np.abs(self.inst.heights())))
+        return HERMITE_KAPPA * math.exp(radius * radius / 4.0)
+
+    def series_expectation(
+        self, fn, cosine: float, terms: int, tol_abs: float = 1e-10
+    ) -> float:
+        """E[fn(<u, x>)] for <u, v> = cosine against the projected density's
+        Mehler series phi(t) sum_{k <= terms} (cosine scale)^k a_k h_k(t), on
+        the projected law's panel breaks.  The caller bounds the truncation."""
+        coeffs = self.hermite_spectrum(terms) * (cosine * self.scale) ** np.arange(
+            terms + 1
+        )
+
+        def integrand(t):
+            series = sum(c * h for c, h in zip(coeffs, hermite_rows(t)))
+            return fn(t) * gaussian_density(t) * series
+
+        value, _ = panel_integrate_1d(
+            integrand, self.projected(cosine).panel_breaks(), tol_abs
+        )
+        return value
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of scale * f(g1) + sigma * g2, taking g1 and then g2 from rng."""
         g1 = rng.standard_normal(n)
@@ -309,6 +374,25 @@ class HiddenDirectionDist:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return sample_hidden(self, n, seed)
+
+
+def hidden_projection(cosine: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<u, x> for x from the hidden-direction law and <u, v> = cosine, from
+    marginal draws s and independent standard normals g."""
+    return cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * g
+
+
+def series_terms(constant: float, rho: float, tol: float) -> float:
+    """Smallest K >= 0 with constant * rho^(K+1) <= tol (a geometric tail
+    bound after term K); math.inf if rho >= 1 keeps it above tol."""
+    if constant <= tol or rho == 0.0:
+        return 0
+    if rho >= 1.0:
+        return math.inf
+    terms = max(math.ceil(math.log(tol / constant) / math.log(rho)) - 1, 0)
+    while constant * rho ** (terms + 1) > tol:
+        terms += 1
+    return terms
 
 
 def sample_marginal(dist: PushforwardDist, n: int, seed: int) -> np.ndarray:

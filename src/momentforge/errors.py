@@ -58,3 +58,12 @@ class QuadratureError(NumericGuardError):
         super().__init__(
             f"quadrature reached {achieved:.3e}, target was {target:.3e}"
         )
+
+
+class SeriesTruncationError(NumericGuardError):
+    """A Hermite series needs more terms than its ceiling to certify its
+    tolerance."""
+
+    def __init__(self, terms: float, ceiling: int):
+        self.terms = terms
+        super().__init__(f"series needs K = {terms:.4g} terms; ceiling {ceiling}")

@@ -17,6 +17,7 @@ All functions are pure; rules are frozen after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +36,15 @@ __all__ = [
     "gaussian_interval_mass",
     "gaussian_moment",
     "double_factorial",
+    "hermite_rows",
     "hermite_rule",
     "reduce_rule",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Cramer's inequality (Abramowitz & Stegun 22.14.17) in normalized form:
+# |He_k(x)| / sqrt(k!) <= HERMITE_KAPPA * exp(x^2 / 4) for all k and real x.
+HERMITE_KAPPA = 1.0865
 
 
 def gaussian_density(x, variance: float = 1.0):
@@ -161,16 +166,21 @@ class ReducedRule:
         return float(0.5 * np.sum(vals + vals[::-1]))
 
 
+def hermite_rows(x):
+    """Yield h_0(x), h_1(x), ... for the Hermite polynomials orthonormal
+    under N(0,1): h_0 = 1, h_1 = x, h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).
+    Unlike He_k, |h_k(x)| <= HERMITE_KAPPA * exp(x^2 / 4) stays bounded."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones_like(x), x
+    yield prev
+    for k in itertools.count(1):
+        yield cur
+        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+
+
 def _hermite_table(m: int, x: np.ndarray) -> np.ndarray:
-    """Values h_0..h_m at x, shape (m+1, len(x)), of the Hermite polynomials
-    orthonormal under N(0,1): h_0 = 1, h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).
-    """
-    h = np.empty((m + 1, x.size))
-    h[0] = 1.0
-    h[1] = x
-    for k in range(1, m):
-        h[k + 1] = (x * h[k] - math.sqrt(k) * h[k - 1]) / math.sqrt(k + 1)
-    return h
+    """Values h_0..h_m at x, shape (m+1, len(x)), from hermite_rows."""
+    return np.array(list(itertools.islice(hermite_rows(x), m + 1)))
 
 
 def hermite_rule(m: int) -> QuadratureRule:

@@ -12,7 +12,9 @@ and deterministically.
 Integrands are vectorized and get one node vector per axis: a 2-D integrand
 f(gx, gy) returns the len(gx) x len(gy) grid f(gx[i], gy[j]).  Integrands
 that factor through functions of one coordinate, like the verification
-integrands D(x) D(x') phi(.), evaluate those factors on the axis nodes only.
+integrand D(x) D(x') phi(.), evaluate those factors on the axis nodes only.
+A 1-D integrand gets the nodes of all initial panels in one call per order,
+then one panel's nodes per call while refining.
 """
 
 from __future__ import annotations
@@ -70,9 +72,15 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
     total_err = 0.0
     rules = (_gl_rule(order), _gl_rule(2 * order))
 
-    def add(box):
-        """Estimate one panel at orders n and 2n; keep the finer value."""
+    def push(box, coarse: float, fine: float):
+        """Queue one panel's order-n and order-2n estimates; keep the finer."""
         nonlocal total, total_err
+        err = abs(fine - coarse)
+        total += fine
+        total_err += err
+        heapq.heappush(heap, (-err, next(counter), box, fine))
+
+    def add(box):
         widths = [hi - lo for lo, hi in box]
         volume = math.prod(widths)
         est = []
@@ -81,13 +89,20 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
             for _ in box:
                 vals = np.dot(ws, vals)
             est.append(volume * float(vals))
-        err = abs(est[1] - est[0])
-        total += est[1]
-        total_err += err
-        heapq.heappush(heap, (-err, next(counter), box, est[1]))
+        push(box, *est)
 
-    for box in itertools.product(*axes):
-        add(box)
+    if len(axes) == 1:
+        # On a line, one integrand call per order covers every initial panel.
+        lo, hi = np.array(axes[0]).T
+        est = []
+        for xs, ws in rules:
+            vals = f((lo[:, None] + (hi - lo)[:, None] * xs).ravel())
+            est.append((hi - lo) * (np.reshape(vals, (lo.size, xs.size)) @ ws))
+        for box, coarse, fine in zip(itertools.product(*axes), *est):
+            push(box, float(coarse), float(fine))
+    else:
+        for box in itertools.product(*axes):
+            add(box)
     panels = len(heap)
     while total_err > tol_abs and panels < max_panels:
         neg_err, _, box, fine = heapq.heappop(heap)

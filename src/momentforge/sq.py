@@ -3,14 +3,15 @@
 Honest oracles answer with empirical means over fresh samples sized so the
 answer lands within the advertised tolerance with probability >= 0.95.
 Adversarial oracles compute the true expectation (closed form for monomial
-queries via Wick pairings, feature-aligned quadrature for one-dimensional
-projection queries, a deterministic label-keyed sampling fallback otherwise)
-and round it toward the corresponding N(0, I) expectation as far as the
-tolerance budget allows.  The rounding target is computed identically for
-planted and null targets, so any query whose two expectations differ by less
-than the tolerance receives the bitwise-identical answer under both -- the
-indistinguishability the construction promises for bounded-degree moment
-queries.
+queries via Wick pairings; for one-dimensional projection queries, the
+truncated Mehler series of the projected density, or quadrature of the exact
+density where the series would need too many terms; a deterministic
+label-keyed sampling fallback otherwise) and round it toward the
+corresponding N(0, I) expectation as far as the tolerance budget allows.
+The rounding target is computed identically for planted and null targets,
+so any query whose two expectations differ by less than the tolerance
+receives the bitwise-identical answer under both -- the indistinguishability
+the construction promises for bounded-degree moment queries.
 
 The hidden direction is never exposed through the oracle interface; the
 "oracle-v" baseline reads the trial's candidate direction deliberately, as a
@@ -19,8 +20,10 @@ labelled cheat, to show the planted law is genuinely far from Gaussian.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +32,9 @@ import numpy as np
 from .distributions import (
     STREAM_ORACLE,
     HiddenDirectionDist,
+    hidden_projection,
     rng_stream,
+    series_terms,
 )
 from .errors import ValidationError
 from .gaussian import gaussian_density, gaussian_interval_mass, gaussian_moment
@@ -51,11 +56,20 @@ __all__ = [
 ]
 
 CLIP_BASE = 12.0  # monomials are scaled by CLIP_BASE^degree before clipping
+# A planted projection answer uses the Mehler series when its certified tail
+# reaches SERIES_TAIL, a tenth of the 1e-10 quadrature tolerance, within
+# SERIES_MAX_TERMS terms, and integrates the exact projected density if not.
+SERIES_MAX_TERMS = 500
+SERIES_TAIL = 1e-11
 
 
 @dataclass(frozen=True)
 class ProjectionQuery:
-    """Query f(x) = fn(<direction, x>) for a vectorized 1-D fn."""
+    """Query f(x) = fn(<direction, x>) for a vectorized 1-D fn.
+
+    fn must be a pure function: adversarial oracles keep its N(0,1)
+    expectation keyed by the function object.
+    """
 
     direction: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray]
@@ -205,12 +219,23 @@ def _union_interval_mass(points: np.ndarray, window: float) -> float:
     return sum(gaussian_interval_mass(lo, hi) for lo, hi in merged)
 
 
+def _label(query) -> str:
+    label = getattr(query, "label", None)
+    return repr(query) if label is None else label
+
+
 @dataclass
 class QueryLogEntry:
+    """One answer.  path is "sampled" (honest) or how the adversarial
+    target expectation was computed: "series", "quadrature", "closed-form"
+    or "fallback"."""
+
     label: str
     mode: str
     answer: float
     tolerance: float
+    path: str
+    seconds: float
 
 
 class SqOracle:
@@ -247,6 +272,7 @@ class SqOracle:
         self._rng = rng_stream(seed, STREAM_ORACLE)
         self.query_log: list[QueryLogEntry] = []
         self.range_violations = 0
+        self._gaussian_expectations: dict[tuple, float] = {}
 
     @property
     def d(self) -> int:
@@ -269,8 +295,7 @@ class SqOracle:
         hidden = target.hidden
         cosine = float(np.clip(query.direction @ hidden.v, -1.0, 1.0))
         s = hidden.marginal.draw(rng, n)
-        g3 = rng.standard_normal(n)
-        return cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * g3
+        return hidden_projection(cosine, s, rng.standard_normal(n))
 
     @staticmethod
     def _sample_monomial_coords(query: MonomialQuery, target, rng, n: int) -> np.ndarray:
@@ -325,7 +350,11 @@ class SqOracle:
 
     # -- exact expectation paths -----------------------------------------
 
-    def _true_expectation(self, query, target, squared: bool = False) -> float:
+    def _true_expectation(
+        self, query, target, squared: bool = False
+    ) -> tuple[float, str]:
+        """The query's (or its square's) expectation under target, and the
+        path that computed it."""
         lo, hi = self._range
         if isinstance(query, ProjectionQuery):
 
@@ -334,10 +363,23 @@ class SqOracle:
                 return out * out if squared else out
 
             if isinstance(target, NullTarget):
-                return _gaussian_expectation(clipped_fn)
-            hidden = target.hidden
-            cosine = float(np.clip(query.direction @ hidden.v, -1.0, 1.0))
-            return hidden.marginal.projected(cosine).expectation(clipped_fn)
+                key = (query.fn, squared)
+                if key not in self._gaussian_expectations:
+                    self._gaussian_expectations[key] = _gaussian_expectation(clipped_fn)
+                return self._gaussian_expectations[key], "quadrature"
+            marginal = target.hidden.marginal
+            cosine = float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
+            rho = abs(cosine) * marginal.scale
+            if rho < 1.0:
+                # |a_k| <= hermite_bound() and the clamped query has
+                # ||q||_2 <= 1, so by Cauchy-Schwarz the terms after K add at
+                # most hermite_bound() * rho^(K+1) / sqrt(1 - rho^2).
+                constant = marginal.hermite_bound() / math.sqrt(1.0 - rho * rho)
+                terms = series_terms(constant, rho, SERIES_TAIL)
+                if terms <= SERIES_MAX_TERMS:
+                    value = marginal.series_expectation(clipped_fn, cosine, terms)
+                    return value, "series"
+            return marginal.projected(cosine).expectation(clipped_fn), "quadrature"
 
         if isinstance(query, MonomialQuery):
             if self.is_vstat:
@@ -356,16 +398,15 @@ class SqOracle:
             )
             scale = query.clip_scale**2 if squared else query.clip_scale
             if isinstance(target, NullTarget):
-                return _null_monomial_moment(eff) / scale
-            return _planted_monomial_moment(target, eff) / scale
+                return _null_monomial_moment(eff) / scale, "closed-form"
+            return _planted_monomial_moment(target, eff) / scale, "closed-form"
 
         if self.fallback_samples > 0:
-            label = getattr(query, "label", repr(query))
-            rng = _label_rng(label + (":sq" if squared else ""))
+            rng = _label_rng(_label(query) + (":sq" if squared else ""))
             vals = self._honest_values(query, target, rng, self.fallback_samples)
             if squared:
                 vals = vals * vals
-            return float(np.mean(vals))
+            return float(np.mean(vals)), "fallback"
         raise ValidationError(
             "adversarial mode needs a registered query form or a fallback budget"
         )
@@ -373,7 +414,9 @@ class SqOracle:
     # -- oracle contract ---------------------------------------------------
 
     def _answer(self, query) -> float:
+        start = time.perf_counter()
         if self.mode == "honest":
+            path = "sampled"
             if self.is_vstat:
                 n = max(int(math.ceil(4.0 * self.t)), 2)
                 vals = self._honest_values(query, self._target, self._rng, n)
@@ -389,18 +432,29 @@ class SqOracle:
             lo, hi = self._range
             # The expectation of a range-clamped query provably lies in the
             # range; clipping removes quadrature round-off overshoot.
-            e_target = min(max(self._true_expectation(query, self._target), lo), hi)
+            e_target, path = self._true_expectation(query, self._target)
+            e_target = min(max(e_target, lo), hi)
             if self.is_vstat:
-                e_sq = self._true_expectation(query, self._target, squared=True)
+                e_sq, _ = self._true_expectation(query, self._target, squared=True)
                 var = max(e_sq - e_target * e_target, 0.0)
                 tol = max(1.0 / self.t, math.sqrt(var / self.t))
             else:
                 tol = self.tau
-            e_null = min(max(self._true_expectation(query, NullTarget(self.d)), lo), hi)
+            if isinstance(self._target, NullTarget):
+                e_null = e_target
+            else:
+                e_null, _ = self._true_expectation(query, NullTarget(self.d))
+                e_null = min(max(e_null, lo), hi)
             answer = min(max(e_null, e_target - tol), e_target + tol)
-        label = getattr(query, "label", repr(query))
         self.query_log.append(
-            QueryLogEntry(label=label, mode=self.mode, answer=answer, tolerance=tol)
+            QueryLogEntry(
+                label=_label(query),
+                mode=self.mode,
+                answer=answer,
+                tolerance=tol,
+                path=path,
+                seconds=time.perf_counter() - start,
+            )
         )
         return answer
 
@@ -465,7 +519,9 @@ def _moment_scan_queries(
     return queries
 
 
+@functools.lru_cache(maxsize=None)
 def _clipped_power(j: int):
+    """clip(t^j / CLIP_BASE^j, -1, 1); one shared function object per j."""
     scale = CLIP_BASE**j
 
     def fn(t):

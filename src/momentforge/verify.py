@@ -4,11 +4,13 @@ The checks mirror what the construction promises: pushforward moments close
 to the Gaussian ones, a finite chi-squared divergence from N(0,1), pairwise
 correlations of hidden-direction laws decaying like cosine^(m+1), near-total
 TV separation between differently oriented copies, and Wasserstein-1
-bookkeeping for the flow.  TV and pairwise correlation reduce exactly to 2-D
-integrals over the plane spanned by the two directions; both are computed on
-feature-aligned panels with an embedded-order error estimate.
+bookkeeping for the flow.  Chi-squared and pairwise correlation are sums
+over the marginal's Hermite spectrum with a certified tail; TV reduces
+exactly to a 2-D integral over the plane spanned by the two directions,
+computed on feature-aligned panels with an embedded-order error estimate.
 
-Every bound comparison is recorded with its margin; the report is
+Every bound comparison is recorded with its margin and the error estimate of
+its value, and passes only if it holds after that error; the report is
 self-contained and serializes to JSON.
 """
 
@@ -24,20 +26,28 @@ from .bumps import BumpInstance
 from .distributions import (
     STREAM_SUPPORT,
     PushforwardDist,
+    hidden_projection,
     rng_stream,
+    series_terms,
 )
-from .errors import ValidationError
+from .errors import SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import gaussian_density, gaussian_moment
-from .integrate import feature_breakpoints, panel_integrate_1d, panel_integrate_2d
-from .network import ReluNetwork1D
+# bench/tracer.py wraps each module's panel_integrate_1d by name.
+from .integrate import feature_breakpoints, panel_integrate_1d, panel_integrate_2d  # noqa: F401
+
+# A spectral sum needing more terms than this raises SeriesTruncationError.
+SERIES_TERM_CEILING = 1_000_000
 
 __all__ = [
+    "Estimate",
+    "SpectralSum",
     "ChiSquaredResult",
     "BoundCheck",
     "SupportDistanceResult",
     "VerifyConfig",
     "VerificationReport",
+    "spectral_sum",
     "chi_squared_vs_gaussian",
     "pairwise_correlation",
     "tv_hidden_pair",
@@ -47,14 +57,64 @@ __all__ = [
 ]
 
 
+class Estimate(float):
+    """A float that carries the absolute error estimate of its computation."""
+
+    error: float
+
+    def __new__(cls, value: float, error: float):
+        out = super().__new__(cls, value)
+        out.error = float(error)
+        return out
+
+
+@dataclass(frozen=True)
+class SpectralSum:
+    """sum_{k=1}^{terms} rho^k a_k^2, the certified bound on the terms after
+    it, and the value's error estimate (that bound plus rounding)."""
+
+    value: float
+    terms: int
+    tail_bound: float
+    error_estimate: float
+
+
+def spectral_sum(dist: PushforwardDist, rho: float, tol_abs: float) -> SpectralSum:
+    """sum_{k>=1} rho^k a_k^2 over dist's Hermite spectrum, |rho| < 1.
+
+    D' has the normalized Hermite coefficients scale^k a_k, so rho = scale^2
+    gives chi^2(D', N) and rho = cosine scale^2 the pairwise correlation
+    (Diakonikolas-Kane-Stewart, FOCS 2017).  With |a_k| <= B, the terms after
+    K add at most B^2 |rho|^(K+1) / (1 - |rho|); K is the smallest count that
+    brings this to tol_abs.  Rounding is estimated as (k + 2) ulps of B in
+    each a_k and (K + 1) ulps of each term in the sum.
+    """
+    bound = dist.hermite_bound()
+    constant = bound * bound / (1.0 - abs(rho))
+    terms = series_terms(constant, abs(rho), tol_abs)
+    if terms > SERIES_TERM_CEILING:
+        raise SeriesTruncationError(terms, SERIES_TERM_CEILING)
+    k = np.arange(1, terms + 1)
+    coeffs = dist.hermite_spectrum(terms)[1:]
+    weighted = rho**k * coeffs * coeffs
+    tail = constant * abs(rho) ** (terms + 1)
+    rounding = float(np.finfo(float).eps) * float(
+        np.sum(abs(rho) ** k * 2.0 * (k + 2) * bound * np.abs(coeffs))
+        + (terms + 1) * np.sum(np.abs(weighted))
+    )
+    return SpectralSum(float(np.sum(weighted)), terms, tail, tail + rounding)
+
+
 @dataclass(frozen=True)
 class ChiSquaredResult:
-    """chi^2(D', N(0,1)) plus the exp(c R^2)/sigma reference (reported only)."""
+    """chi^2(D', N(0,1)) as a spectral sum, plus the exp(c R^2)/sigma
+    reference (reported only)."""
 
     value: float
     reference: float
     reference_constant: float
     support_radius: float
+    series: SpectralSum
 
 
 def chi_squared_vs_gaussian(
@@ -62,23 +122,18 @@ def chi_squared_vs_gaussian(
     tol_abs: float = 1e-8,
     reference_constant: float = 1.0,
 ) -> ChiSquaredResult:
-    """Integral of D'(x)^2 / gaussian(x) minus 1 by feature-aligned panels."""
+    """chi^2(D', N(0,1)) = sum_{k>=1} scale^(2k) a_k^2 to tol_abs."""
     if not 0.0 < dist.sigma <= 0.5:
         raise ValidationError("chi-squared check requires sigma in (0, 1/2]")
-    breaks = _plane_breaks(dist, 8.0)
-
-    def integrand(x):
-        dens = dist.density(x)
-        return dens * dens / gaussian_density(x)
-
-    value, _ = panel_integrate_1d(integrand, breaks, tol_abs)
+    chi = spectral_sum(dist, dist.scale * dist.scale, tol_abs)
     radius = dist.support_radius()
     reference = math.exp(reference_constant * radius * radius) / dist.sigma
     return ChiSquaredResult(
-        value=value - 1.0,
+        value=chi.value,
         reference=reference,
         reference_constant=reference_constant,
         support_radius=radius,
+        series=chi,
     )
 
 
@@ -91,42 +146,26 @@ def _plane_breaks(dist: PushforwardDist, pad_sigmas: float = 10.0) -> np.ndarray
 
 def pairwise_correlation(
     dist: PushforwardDist, cosine: float, tol_abs: float = 1e-6
-) -> float:
-    """chi_{N(0,I)}(P_v, P_v') for directions at the given cosine.
-
-    Exact 2-D reduction: integrate D'(x) D'(x') gaussian(y') / gaussian(x)
-    * csc(theta) over the (x, x') plane and subtract 1; coordinates
-    orthogonal to the span integrate out to 1.  D' and gaussian(x) are
-    evaluated on each panel's axis nodes; only gaussian(y') needs the grid.
-    """
+) -> Estimate:
+    """chi_{N(0,I)}(P_v, P_v') for directions at the given cosine, as
+    sum_{k>=1} (cosine scale^2)^k a_k^2 to tol_abs; the Estimate carries the
+    spectral sum's error estimate."""
     if not abs(cosine) < 1.0:
         raise ValidationError("cosine must satisfy |cosine| < 1")
     if dist.sigma <= 0.0:
         raise ValidationError("pairwise correlation requires sigma > 0")
-    theta = math.acos(cosine)
-    sin_t = math.sin(theta)
-    breaks = _plane_breaks(dist)
-
-    def integrand(gx, gxp):
-        x, xp = gx[:, None], gxp[None, :]
-        yp = (xp * cosine - x) / sin_t
-        return (
-            dist.density(gx)[:, None]
-            * dist.density(gxp)[None, :]
-            * gaussian_density(yp)
-            / gaussian_density(gx)[:, None]
-            / sin_t
-        )
-
-    value, _ = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
-    return value - 1.0
+    corr = spectral_sum(dist, cosine * dist.scale * dist.scale, tol_abs)
+    return Estimate(corr.value, corr.error_estimate)
 
 
-def tv_hidden_pair(dist: PushforwardDist, cosine: float, tol_abs: float = 1e-4) -> float:
+def tv_hidden_pair(
+    dist: PushforwardDist, cosine: float, tol_abs: float = 1e-4
+) -> Estimate:
     """Total variation distance between P_v and P_v' at the given cosine.
 
     Equals 1 minus the overlap integral of the two plane densities; the
-    orthogonal complement factorizes away exactly.
+    orthogonal complement factorizes away exactly.  The Estimate carries the
+    integrator's error estimate.
     """
     if not abs(cosine) < 1.0:
         raise ValidationError("cosine must satisfy |cosine| < 1")
@@ -144,8 +183,8 @@ def tv_hidden_pair(dist: PushforwardDist, cosine: float, tol_abs: float = 1e-4) 
         second = dist.density(gxp)[None, :] * gaussian_density(yp)
         return np.minimum(first, second) / sin_t
 
-    overlap, _ = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
-    return 1.0 - overlap
+    overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
+    return Estimate(1.0 - overlap, error)
 
 
 def w1_empirical(samples_a, samples_b) -> float:
@@ -195,7 +234,7 @@ def distance_to_support(
     comb = dist.scale * dist.inst.heights()
     s = dist.sample(n, seed, stream=STREAM_SUPPORT)
     y = rng_stream(seed, STREAM_SUPPORT + 0x100).standard_normal(n)
-    proj = cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * y
+    proj = hidden_projection(cosine, s, y)
     dists = np.min(np.abs(proj[:, None] - comb[None, :]), axis=1)
     exceed = float(np.mean(dists > threshold))
     return SupportDistanceResult(
@@ -209,13 +248,15 @@ def distance_to_support(
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One inequality comparison: value vs bound, with its margin."""
+    """One inequality comparison: value vs bound, with its margin and the
+    error estimate of the comparison; passed only if the margin exceeds it."""
 
     name: str
     cosine: float
     value: float
     bound: float
     margin: float
+    error_estimate: float
     passed: bool
 
 
@@ -253,6 +294,7 @@ class VerificationReport:
     slope_max: float = math.nan
     weight_bound: float = math.nan
     chi_squared: ChiSquaredResult | None = None
+    hermite_coefficients: list[float] = field(default_factory=list)
     pairwise_corr: list[BoundCheck] = field(default_factory=list)
     tv_separation: list[BoundCheck] = field(default_factory=list)
     w1_flow_distance: float = math.nan
@@ -316,23 +358,28 @@ def verify_instance(
     with _recorded(report, "network"):
         report.weight_bound = network.weight_bound
 
-    chi_value = math.inf
+    chi_value, chi_error = math.inf, math.inf
     with _recorded(report, "chi-squared"):
         report.chi_squared = chi_squared_vs_gaussian(dist, tol_abs=config.chi_tol)
         chi_value = report.chi_squared.value
+        chi_error = report.chi_squared.series.error_estimate
+        report.hermite_coefficients = dist.hermite_spectrum(evolved.m + 1)[1:].tolist()
 
     for cosine in config.correlation_cosines:
         with _recorded(report, f"pairwise correlation at {cosine}"):
             value = pairwise_correlation(dist, cosine, tol_abs=config.correlation_tol)
             bound = _correlation_decay_bound(cosine, evolved.m, chi_value, config.nu)
+            # The bound inherits chi-squared's error, scaled by |cos|^(m+1).
+            error = value.error + abs(cosine) ** (evolved.m + 1) * chi_error
             report.pairwise_corr.append(
                 BoundCheck(
                     name="pairwise-correlation",
                     cosine=cosine,
-                    value=value,
+                    value=float(value),
                     bound=bound,
                     margin=bound - value,
-                    passed=value <= bound,
+                    error_estimate=error,
+                    passed=bound - value >= error,
                 )
             )
 
@@ -344,10 +391,11 @@ def verify_instance(
                 BoundCheck(
                     name="tv-separation",
                     cosine=cosine,
-                    value=value,
+                    value=float(value),
                     bound=bound,
                     margin=value - bound,
-                    passed=value >= bound,
+                    error_estimate=value.error,
+                    passed=value - bound >= value.error,
                 )
             )
 

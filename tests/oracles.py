@@ -2,7 +2,7 @@
 
 Each one computes the same quantity as a production path in the plainest
 form available: a Python loop where the library broadcasts, a full grid
-where the library factors an integrand through its axis nodes.
+or a 1-D quadrature where the library sums a Hermite series.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -28,7 +28,7 @@ from momentforge.gaussian import (
     gaussian_density,
     gaussian_interval_mass,
 )
-from momentforge.integrate import panel_integrate_2d
+from momentforge.integrate import panel_integrate_1d, panel_integrate_2d
 
 # Above this the p_k antiderivative form loses more than ~1e-10 relative to
 # cancellation on central intervals; switch to the incomplete-gamma form.
@@ -88,6 +88,17 @@ def meshgrid_correlation(dist, cosine, breaks, tol_abs):
         return pointwise(X.ravel(), Y.ravel()).reshape(X.shape)
 
     value, _ = panel_integrate_2d(on_grid, breaks, breaks, tol_abs)
+    return value - 1.0
+
+
+def quadrature_chi_squared(dist, breaks, tol_abs):
+    """chi^2(D', N(0,1)) as the integral of D'(x)^2 / gaussian(x), minus 1."""
+
+    def integrand(x):
+        dens = dist.density(x)
+        return dens * dens / gaussian_density(x)
+
+    value, _ = panel_integrate_1d(integrand, breaks, tol_abs)
     return value - 1.0
 
 

@@ -118,6 +118,11 @@ class TestVerify:
         monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
         assert main(["verify", str(built_m5)]) == 3
 
+    def test_series_guard_exit_code(self, built_m5, capsys):
+        # At sigma = 1e-3 the certified chi^2 sum needs ~3.6e7 terms.
+        assert main(["verify", str(built_m5), "--sigma", "0.001"]) == 3
+        assert "K = " in capsys.readouterr().err
+
 
 class TestExportAndSample:
     def test_export_then_sample_matches_marginal(self, built_m5, tmp_path):

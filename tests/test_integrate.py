@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momentforge import QuadratureError, ValidationError
-from momentforge.integrate import panel_integrate_2d
+from momentforge.integrate import panel_integrate_1d, panel_integrate_2d
 
 
 def correlated_gaussian_kernel(rho):
@@ -66,3 +66,25 @@ class TestPanelIntegrate2D:
             panel_integrate_2d(
                 lambda gx, gy: np.ones((gx.size, gy.size)), x_breaks, y_breaks, 1e-8
             )
+
+
+class TestPanelIntegrate1D:
+    def test_initial_panels_share_one_call_per_order(self):
+        seen = []
+
+        def integrand(x):
+            seen.append(x.shape)
+            return np.exp(-x * x / 2.0)
+
+        breaks = np.linspace(-12.0, 12.0, 9)
+        value, err = panel_integrate_1d(integrand, breaks, 1e-12)
+        assert value == pytest.approx(math.sqrt(2.0 * math.pi), abs=1e-12)
+        assert err <= 1e-12
+        order = 24
+        assert seen[:2] == [(8 * order,), (8 * 2 * order,)]
+        assert set(seen[2:]) <= {(order,), (2 * order,)}
+
+    def test_refines_past_the_initial_panels(self):
+        # A kink off the panel edges forces refinement after the batched pass.
+        value, _ = panel_integrate_1d(lambda x: np.abs(x - 0.3), [-1.0, 1.0], 1e-9)
+        assert value == pytest.approx((1.3**2 + 0.7**2) / 2.0, abs=1e-9)

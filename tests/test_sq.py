@@ -307,3 +307,71 @@ class TestHonestSamplingStreams:
         g = rng.standard_normal((self.N, D_SMALL))
         want = g - np.outer(g @ hidden.v, hidden.v) + np.outer(s, hidden.v)
         assert np.array_equal(got, want)
+
+
+class TestAnswerPaths:
+    D = 50
+
+    @pytest.fixture(scope="class")
+    def hidden50(self, dist5):
+        v = np.random.default_rng(5).standard_normal(self.D)
+        v /= np.linalg.norm(v)
+        return HiddenDirectionDist(d=self.D, v=v, marginal=dist5)
+
+    def paths(self, oracle, algo):
+        answer_sequence(oracle, algo)
+        assert all(entry.seconds > 0.0 for entry in oracle.query_log)
+        return {entry.path for entry in oracle.query_log}
+
+    def test_each_query_kind_takes_its_path(self, hidden50):
+        def planted():
+            return make_oracle(PlantedTarget(hidden50), "adversarial")
+
+        projections = build_algorithm("random-projection-moment", self.D, seed=7, tau=TAU)
+        assert self.paths(planted(), projections) == {"series"}
+        cheat = build_algorithm("oracle-v", self.D, seed=7, tau=TAU, planted_hint=hidden50)
+        assert self.paths(planted(), cheat) == {"quadrature"}
+        monomials = build_algorithm("moment-scan", self.D, seed=7, tau=TAU)
+        assert self.paths(planted(), monomials) == {"closed-form"}
+        null = make_oracle(NullTarget(self.D), "adversarial")
+        assert self.paths(null, projections) == {"quadrature"}
+        honest = make_oracle(PlantedTarget(hidden50), "honest")
+        assert self.paths(honest, monomials) == {"sampled"}
+
+    @pytest.mark.parametrize("kind", ["planted", "null"])
+    def test_null_expectation_once_per_function(self, hidden50, monkeypatch, kind):
+        # 12 directions x 5 clipped powers share 5 function objects.
+        from momentforge import sq as sq_module
+
+        calls = []
+        original = sq_module._gaussian_expectation
+
+        def counted(fn, *args):
+            calls.append(fn)
+            return original(fn, *args)
+
+        monkeypatch.setattr(sq_module, "_gaussian_expectation", counted)
+        target = PlantedTarget(hidden50) if kind == "planted" else NullTarget(self.D)
+        algo = build_algorithm("random-projection-moment", self.D, seed=8, tau=TAU)
+        answer_sequence(make_oracle(target, "adversarial"), algo)
+        assert len(algo.queries) == 60
+        assert len(calls) == 5
+
+    def test_labelled_queries_skip_repr(self, hidden):
+        class Labelled:
+            label = "generic:x0/4"
+
+            def __call__(self, x):
+                return np.clip(x[:, 0] / 4.0, -1, 1)
+
+            def __repr__(self):
+                raise AssertionError("repr of a labelled query")
+
+        for mode in ("adversarial", "honest"):
+            oracle = make_oracle(
+                PlantedTarget(hidden), mode, fallback_samples=1000
+            )
+            stat_query(oracle, Labelled())
+            entry = oracle.query_log[-1]
+            assert entry.label == "generic:x0/4"
+            assert entry.path == ("fallback" if mode == "adversarial" else "sampled")

@@ -21,6 +21,7 @@ from momentforge import (
     w1_empirical,
 )
 from momentforge import verify as verify_module
+from momentforge.distributions import STREAM_SUPPORT, rng_stream
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,20 @@ class TestDistanceToSupport:
         with pytest.raises(ValidationError):
             distance_to_support(PushforwardDist.gaussian(0.05), 0.5, 10, seed=1)
 
+    def test_projection_rebuilt_by_hand(self, build5):
+        # Marginal draws from the support stream, then the orthogonal normals
+        # from their own stream, combined as cos * s + sin * y.
+        _, evolved, _ = build5
+        dist = PushforwardDist.from_instance(evolved, 0.01)
+        n, seed, cosine = 4096, 33, 0.5
+        result = distance_to_support(dist, cosine, n, seed=seed)
+        s = dist.sample(n, seed, stream=STREAM_SUPPORT)
+        y = rng_stream(seed, STREAM_SUPPORT + 0x100).standard_normal(n)
+        proj = cosine * s + math.sqrt(1.0 - cosine * cosine) * y
+        comb = dist.scale * evolved.heights()
+        far = np.min(np.abs(proj[:, None] - comb[None, :]), axis=1) > result.threshold
+        assert result.exceedance_probability == float(np.mean(far))
+
     def test_lower_bound_below_projected_w1(self, build5, rng):
         # The exceedance bound must sit below the empirical W1 between the
         # projections of the two hidden-direction laws onto v.
@@ -223,6 +238,30 @@ class TestVerifyInstance:
         assert report.vandermonde is not None and report.vandermonde.satisfied
         assert report.sigma_min_summary["min"] > 0
         assert report.w1_flow_passed
+        for check in report.pairwise_corr + report.tv_separation:
+            assert 0.0 < check.error_estimate < check.margin
+        assert len(report.hermite_coefficients) == evolved.m + 1
+        assert abs(report.hermite_coefficients[-1]) > 1e-4
+
+    def test_a_pass_must_survive_the_error(self, build5, monkeypatch):
+        # A value under its bound fails once its error reaches the margin.
+        def uncertain(*args, **kwargs):
+            return verify_module.Estimate(0.0, 1.0)
+
+        monkeypatch.setattr(verify_module, "pairwise_correlation", uncertain)
+        initial, evolved, trace = build5
+        config = VerifyConfig(
+            correlation_cosines=(0.1,),
+            tv_cosines=(),
+            w1_samples=50_000,
+            support_samples=20_000,
+        )
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        (check,) = report.pairwise_corr
+        assert check.margin > 0.0
+        assert check.error_estimate >= 1.0
+        assert not check.passed
+        assert not report.all_passed()
 
     def test_report_echoes_config(self, build5):
         initial, evolved, trace = build5
