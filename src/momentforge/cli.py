@@ -325,6 +325,8 @@ def _write_samples(samples: np.ndarray, path: str, fmt: str) -> None:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     data = load_json(args.file)
     kind = data.get("kind")
     if args.kind == "null":

@@ -10,11 +10,11 @@ width sigma around the scaled plateau heights), so refinement converges fast
 and deterministically.
 
 Integrands are vectorized and get one node vector per axis: a 2-D integrand
-f(gx, gy) returns the len(gx) x len(gy) grid f(gx[i], gy[j]).  Integrands
-that factor through functions of one coordinate, like the verification
-integrand D(x) D(x') phi(.), evaluate those factors on the axis nodes only.
-A 1-D integrand gets the nodes of all initial panels in one call per order,
-then one panel's nodes per call while refining.
+f(gx, gy) returns the len(gx) x len(gy) grid f(gx[i], gy[j]).  One call per
+order covers a row: one panel's nodes on each leading axis and the joined
+nodes of all listed last-axis panels (every panel at first, then one box
+with its split side halved).  Factors of one coordinate, like D(x) and D(x')
+in the verification integrand, are thus evaluated once per row.
 """
 
 from __future__ import annotations
@@ -72,37 +72,33 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
     total_err = 0.0
     rules = (_gl_rule(order), _gl_rule(2 * order))
 
-    def push(box, coarse: float, fine: float):
-        """Queue one panel's order-n and order-2n estimates; keep the finer."""
+    def sweep(panels):
+        """Queue every box in the product of the per-axis panel lists, with
+        one integrand call per row and order (see the module docstring)."""
         nonlocal total, total_err
-        err = abs(fine - coarse)
-        total += fine
-        total_err += err
-        heapq.heappush(heap, (-err, next(counter), box, fine))
-
-    def add(box):
-        widths = [hi - lo for lo, hi in box]
-        volume = math.prod(widths)
+        *leading, last = panels
+        lo, hi = np.array(last).T
         est = []
         for xs, ws in rules:
-            vals = f(*[lo + w * xs for (lo, _), w in zip(box, widths)])
-            for _ in box:
-                vals = np.dot(ws, vals)
-            est.append(volume * float(vals))
-        push(box, *est)
+            tail = (lo[:, None] + (hi - lo)[:, None] * xs).ravel()
+            rows = []
+            for row in itertools.product(*leading):
+                vals = f(*[a + (b - a) * xs for a, b in row], tail)
+                for _ in row:
+                    vals = np.dot(ws, vals)
+                volume = math.prod(b - a for a, b in row) * (hi - lo)
+                # One dot per panel, the same sum whichever row it shares.
+                sides = np.reshape(vals, (lo.size, xs.size))
+                rows.append(volume * [np.dot(ws, side) for side in sides])
+            est.append(np.concatenate(rows))
+        for box, coarse, fine in zip(itertools.product(*panels), *est):
+            coarse, fine = float(coarse), float(fine)
+            err = abs(fine - coarse)
+            total += fine
+            total_err += err
+            heapq.heappush(heap, (-err, next(counter), box, fine))
 
-    if len(axes) == 1:
-        # On a line, one integrand call per order covers every initial panel.
-        lo, hi = np.array(axes[0]).T
-        est = []
-        for xs, ws in rules:
-            vals = f((lo[:, None] + (hi - lo)[:, None] * xs).ravel())
-            est.append((hi - lo) * (np.reshape(vals, (lo.size, xs.size)) @ ws))
-        for box, coarse, fine in zip(itertools.product(*axes), *est):
-            push(box, float(coarse), float(fine))
-    else:
-        for box in itertools.product(*axes):
-            add(box)
+    sweep(axes)
     panels = len(heap)
     while total_err > tol_abs and panels < max_panels:
         neg_err, _, box, fine = heapq.heappop(heap)
@@ -112,8 +108,9 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
         axis = widths.index(max(widths))
         lo, hi = box[axis]
         mid = 0.5 * (lo + hi)
-        add(box[:axis] + ((lo, mid),) + box[axis + 1 :])
-        add(box[:axis] + ((mid, hi),) + box[axis + 1 :])
+        split = [[side] for side in box]
+        split[axis] = [(lo, mid), (mid, hi)]
+        sweep(split)
         panels += 1
     if total_err > tol_abs:
         raise QuadratureError(achieved=total_err, target=tol_abs)
@@ -135,9 +132,9 @@ def panel_integrate_2d(
     """Integrate f(x, y) over the product of the two break spans with
     order-16 tensor panels.
 
-    f is called as f(gx, gy) with the x and y node vectors of one panel and
-    must return the (len(gx), len(gy)) array of f(gx[i], gy[j]).  Returns
-    (value, error estimate); raises QuadratureError when the budget runs out
-    before reaching tol_abs.
+    f is called as f(gx, gy) with the x nodes of one panel and the y nodes
+    of a row of panels, and must return the (len(gx), len(gy)) array of
+    f(gx[i], gy[j]).  Returns (value, error estimate); raises QuadratureError
+    when the budget runs out before reaching tol_abs.
     """
     return _panel_integrate(f, (x_breaks, y_breaks), tol_abs, 16, max_panels)

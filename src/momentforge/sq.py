@@ -559,6 +559,11 @@ def build_algorithm(
     """
     rng = rng_stream(seed, STREAM_ORACLE + 0x200)
     if algo_id == "moment-scan":
+        if not 1 <= subset_size <= d:
+            raise ValidationError(
+                f"moment-scan needs 1 <= subset_size <= d, got subset_size="
+                f"{subset_size}, d={d}"
+            )
         queries = _moment_scan_queries(d, degree, subset_size, rng)
         refs = tuple(_null_monomial_moment(q) / q.clip_scale for q in queries)
         return Algorithm(algo_id, tuple(queries), refs, threshold=2.5 * tau)

@@ -35,6 +35,7 @@ from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
 from .integrate import feature_breakpoints, panel_integrate_1d, panel_integrate_2d  # noqa: F401
+from .network import ReluNetwork1D
 
 # A spectral sum needing more terms than this raises SeriesTruncationError.
 SERIES_TERM_CEILING = 1_000_000
@@ -227,6 +228,8 @@ def distance_to_support(
     """
     if dist.inst is None:
         raise ValidationError("distance-to-support needs a bump instance")
+    if not abs(cosine) <= 1.0:
+        raise ValidationError("cosine must satisfy |cosine| <= 1")
     if n < 1:
         raise ValidationError("sample count must be >= 1")
     m = dist.inst.m

@@ -241,8 +241,33 @@ class TestExportAndSample:
         arr = np.fromfile(out, dtype="<f8").reshape(50, 3)
         assert np.all(np.isfinite(arr))
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    @pytest.mark.parametrize("kind", ["lifted", "instance", "null"])
+    def test_sample_count_must_be_positive(self, built_m5, tmp_path, capsys, kind, n):
+        src = built_m5
+        extra = ["--d", "3"]
+        if kind == "lifted":
+            src = tmp_path / "net.json"
+            assert main(["export", str(built_m5), "--d", "3", "--out", str(src)]) == 0
+            extra = []
+        elif kind == "null":
+            extra += ["--kind", "null"]
+        out = tmp_path / "samples.csv"
+        code = main(["sample", str(src), "--n", n, *extra, "--out", str(out)])
+        assert code == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistinguish:
+    def test_moment_scan_dimension_below_subset(self, built_m5, capsys):
+        code = main(
+            ["distinguish", str(built_m5), "--d", "2", "--algo", "moment-scan"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "subset_size" in err and "d=2" in err
+
     def test_oracle_v_json_output(self, built_m5, tmp_path):
         out = tmp_path / "dist.json"
         code = main(

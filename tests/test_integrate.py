@@ -1,4 +1,4 @@
-"""Adaptive panel integrators: closed forms and the 2-D axis-node contract."""
+"""Adaptive panel integrators: closed forms and the integrand row contract."""
 
 import math
 
@@ -33,17 +33,23 @@ class TestPanelIntegrate2D:
         assert value == pytest.approx(2.0 * math.pi * math.sqrt(1.0 - rho * rho), abs=tol)
 
     def test_integrand_receives_axis_vectors(self):
+        # Per order, one call covers a row: one x panel's nodes against the
+        # nodes of every listed y panel.  Refinement lists one box with its
+        # split side halved: two rows after an x split, one row of both y
+        # halves after a y split.
         seen = []
 
         def integrand(gx, gy):
             seen.append((gx.shape, gy.shape))
-            return np.outer(np.cos(gx), 1.0 + gy * gy)
+            return np.outer(np.abs(gx - 0.3), np.abs(gy - 0.2))
 
-        value, _ = panel_integrate_2d(integrand, [0.0, 1.0], [-1.0, 0.5, 2.0], 1e-12)
-        want = math.sin(1.0) * (3.0 + (8.0 + 1.0) / 3.0)
-        assert value == pytest.approx(want, abs=1e-12)
+        value, _ = panel_integrate_2d(integrand, [0.0, 1.0], [-1.0, 0.5, 2.0], 1e-8)
+        want = (0.3**2 + 0.7**2) / 2.0 * (1.2**2 + 1.8**2) / 2.0
+        assert value == pytest.approx(want, abs=1e-8)
         order = 16
-        assert set(seen) <= {((order,), (order,)), ((2 * order,), (2 * order,))}
+        assert seen[:2] == [((order,), (2 * order,)), ((2 * order,), (4 * order,))]
+        row_shapes = {((n,), (k * n,)) for n in (order, 2 * order) for k in (1, 2)}
+        assert set(seen[2:]) == row_shapes
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QuadratureError):

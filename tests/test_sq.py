@@ -234,6 +234,10 @@ class TestDistinguishers:
         with pytest.raises(ValidationError):
             build_algorithm("psychic", 5, seed=1)
 
+    def test_moment_scan_subset_larger_than_dimension(self):
+        with pytest.raises(ValidationError, match=r"subset_size=3, d=2"):
+            build_algorithm("moment-scan", 2, seed=1, subset_size=3)
+
     def test_moment_scan_query_enumeration(self):
         algo = build_algorithm("moment-scan", 20, seed=5, degree=5, subset_size=3)
         assert len(algo.queries) == 55  # compositions of degree 1..5 over 3 slots

@@ -21,7 +21,7 @@ from momentforge import (
     w1_empirical,
 )
 from momentforge import verify as verify_module
-from momentforge.distributions import STREAM_SUPPORT, rng_stream
+from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,23 @@ class TestTvHiddenPair:
         assert tv >= bound
         assert tv <= 1.0
 
+    def test_axis_densities_shared_across_panels(self, dist5, monkeypatch):
+        # The m=5 plane starts with 66 x 66 panels; a row of panels shares
+        # one density evaluation per axis and order, so the count stays far
+        # below two per panel.
+        calls = []
+        density = ProjectedLaw.density
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return density(self, x)
+
+        monkeypatch.setattr(ProjectedLaw, "density", counted)
+        tv = tv_hidden_pair(dist5, 0.5, tol_abs=1e-4)
+        assert len(calls) <= 1000
+        assert float(tv) == pytest.approx(0.8815742493526485, rel=1e-15)
+        assert tv.error == pytest.approx(8.531840258803729e-05, rel=1e-15)
+
     def test_monotonicity_spot_check(self, dist5):
         tv_small = tv_hidden_pair(dist5, 0.1, tol_abs=1e-4)
         tv_half = tv_hidden_pair(dist5, 0.5, tol_abs=1e-4)
@@ -180,6 +197,11 @@ class TestDistanceToSupport:
     def test_identity_marginal_rejected(self):
         with pytest.raises(ValidationError):
             distance_to_support(PushforwardDist.gaussian(0.05), 0.5, 10, seed=1)
+
+    @pytest.mark.parametrize("cosine", [1.7, -1.0000001, math.nan])
+    def test_cosine_domain(self, dist5, cosine):
+        with pytest.raises(ValidationError, match="cosine"):
+            distance_to_support(dist5, cosine, 10, seed=1)
 
     def test_projection_rebuilt_by_hand(self, build5):
         # Marginal draws from the support stream, then the orthogonal normals
