@@ -33,10 +33,26 @@ class TestPanelIntegrate2D:
         assert value == pytest.approx(2.0 * math.pi * math.sqrt(1.0 - rho * rho), abs=tol)
 
     def test_integrand_receives_axis_vectors(self):
-        # Per order, one call covers a row: one x panel's nodes against the
-        # nodes of every listed y panel.  Refinement lists one box with its
-        # split side halved: two rows after an x split, one row of both y
-        # halves after a y split.
+        # Per order, the initial pass makes one call per row: one x panel's
+        # nodes against the joined nodes of every y panel.
+        seen = []
+
+        def integrand(gx, gy):
+            seen.append((gx.shape, gy.shape))
+            return np.outer(np.cos(gx), 1.0 + gy * gy)
+
+        value, _ = panel_integrate_2d(integrand, [0.0, 1.0], [-1.0, 0.5, 2.0], 1e-12)
+        want = math.sin(1.0) * (3.0 + (8.0 + 1.0) / 3.0)
+        assert value == pytest.approx(want, abs=1e-12)
+        order = 16
+        assert seen[:2] == [((order,), (2 * order,)), ((2 * order,), (4 * order,))]
+        row_shapes = {((n,), (k * n,)) for n in (order, 2 * order) for k in (1, 2)}
+        assert set(seen[2:]) <= row_shapes
+
+    def test_refinement_sweeps_the_split_box(self):
+        # Refinement lists one box with its split side halved: two rows of
+        # one y panel after an x split, one row of both y halves after a y
+        # split.  Kinks off the panel edges force both kinds of split.
         seen = []
 
         def integrand(gx, gy):
@@ -47,7 +63,6 @@ class TestPanelIntegrate2D:
         want = (0.3**2 + 0.7**2) / 2.0 * (1.2**2 + 1.8**2) / 2.0
         assert value == pytest.approx(want, abs=1e-8)
         order = 16
-        assert seen[:2] == [((order,), (2 * order,)), ((2 * order,), (4 * order,))]
         row_shapes = {((n,), (k * n,)) for n in (order, 2 * order) for k in (1, 2)}
         assert set(seen[2:]) == row_shapes
 
@@ -88,9 +103,18 @@ class TestPanelIntegrate1D:
         assert err <= 1e-12
         order = 24
         assert seen[:2] == [(8 * order,), (8 * 2 * order,)]
-        assert set(seen[2:]) <= {(order,), (2 * order,)}
+        assert set(seen[2:]) <= {(2 * order,), (4 * order,)}
 
     def test_refines_past_the_initial_panels(self):
-        # A kink off the panel edges forces refinement after the batched pass.
-        value, _ = panel_integrate_1d(lambda x: np.abs(x - 0.3), [-1.0, 1.0], 1e-9)
+        # A kink off the panel edges forces refinement after the batched pass;
+        # each refinement call joins the nodes of both halves.
+        seen = []
+
+        def integrand(x):
+            seen.append(x.shape)
+            return np.abs(x - 0.3)
+
+        value, _ = panel_integrate_1d(integrand, [-1.0, 1.0], 1e-9)
         assert value == pytest.approx((1.3**2 + 0.7**2) / 2.0, abs=1e-9)
+        order = 24
+        assert set(seen[2:]) == {(2 * order,), (4 * order,)}
