@@ -292,16 +292,22 @@ def network_from_payload(payload: dict):
     raise ValidationError(f"unknown network kind {kind!r}")
 
 
+def _hidden_direction(d: int, direction: str, seed: int) -> np.ndarray:
+    """The --direction unit vector in R^d: e1, or a seeded random one."""
+    if d < 1:
+        raise ValidationError(f"--d must be >= 1, got {d}")
+    if direction == "e1":
+        v = np.zeros(d)
+        v[0] = 1.0
+        return v
+    v = rng_stream(seed, 0x45).standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 def cmd_export(args) -> int:
     _, _, evolved, _ = _load_build(args.instance)
     net1d = compile_instance(evolved)
-    if args.direction == "e1":
-        v = np.zeros(args.d)
-        v[0] = 1.0
-    else:
-        rng = rng_stream(args.seed, 0x45)
-        v = rng.standard_normal(args.d)
-        v /= np.linalg.norm(v)
+    v = _hidden_direction(args.d, args.direction, args.seed)
     lifted = lift(net1d, args.sigma, args.d, v)
     dump_json(_network_payload(lifted), args.out)
     sizes = lifted.size_report()
@@ -343,13 +349,7 @@ def cmd_sample(args) -> int:
         if args.d is None:
             raise ValidationError("planted sampling from an instance needs --d")
         dist = PushforwardDist.from_instance(evolved, args.sigma)
-        rng = rng_stream(args.seed, 0x45)
-        if args.direction == "e1":
-            v = np.zeros(args.d)
-            v[0] = 1.0
-        else:
-            v = rng.standard_normal(args.d)
-            v /= np.linalg.norm(v)
+        v = _hidden_direction(args.d, args.direction, args.seed)
         hd = HiddenDirectionDist(d=args.d, v=v, marginal=dist)
         samples = hd.sample(args.n, args.seed)
     else:

@@ -37,7 +37,7 @@ from .gaussian import (
     gaussian_moment,
     hermite_rows,
 )
-from .integrate import feature_breakpoints, panel_integrate_1d
+from .integrate import Estimate, feature_breakpoints, panel_integrate_1d
 
 __all__ = [
     "ProjectedLaw",
@@ -149,12 +149,14 @@ class ProjectedLaw:
             -bound, bound, self.feature_points(), max(self.width, 1e-6)
         )
 
-    def expectation(self, fn, tol_abs: float = 1e-10) -> float:
-        """Integral of fn against this density by feature-aligned panels."""
-        value, _ = panel_integrate_1d(
-            lambda t: fn(t) * self.density(t), self.panel_breaks(), tol_abs
+    def expectation(self, fn, tol_abs: float = 1e-10) -> Estimate:
+        """Integral of fn against this density by feature-aligned panels,
+        with the integrator's error estimate."""
+        return Estimate(
+            *panel_integrate_1d(
+                lambda t: fn(t) * self.density(t), self.panel_breaks(), tol_abs
+            )
         )
-        return value
 
 
 def _law_from_instance(inst: BumpInstance, coef: float, width: float) -> ProjectedLaw:
@@ -310,10 +312,11 @@ class PushforwardDist:
 
     def series_expectation(
         self, fn, cosine: float, terms: int, tol_abs: float = 1e-10
-    ) -> float:
+    ) -> Estimate:
         """E[fn(<u, x>)] for <u, v> = cosine against the projected density's
         Mehler series phi(t) sum_{k <= terms} (cosine scale)^k a_k h_k(t), on
-        the projected law's panel breaks.  The caller bounds the truncation."""
+        the projected law's panel breaks, with the integrator's error
+        estimate.  The caller bounds the truncation."""
         coeffs = self.hermite_spectrum(terms) * (cosine * self.scale) ** np.arange(
             terms + 1
         )
@@ -322,10 +325,8 @@ class PushforwardDist:
             series = sum(c * h for c, h in zip(coeffs, hermite_rows(t)))
             return fn(t) * gaussian_density(t) * series
 
-        value, _ = panel_integrate_1d(
-            integrand, self.projected(cosine).panel_breaks(), tol_abs
-        )
-        return value
+        breaks = self.projected(cosine).panel_breaks()
+        return Estimate(*panel_integrate_1d(integrand, breaks, tol_abs))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of scale * f(g1) + sigma * g2, taking g1 and then g2 from rng."""
@@ -361,7 +362,7 @@ class HiddenDirectionDist:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (self.d,):
             raise ValidationError(f"direction must have shape ({self.d},)")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise ValidationError("direction must be a unit vector")
         object.__setattr__(self, "v", v)
 

@@ -27,9 +27,20 @@ import numpy as np
 
 from .errors import QuadratureError, ValidationError
 
-__all__ = ["panel_integrate_1d", "panel_integrate_2d", "feature_breakpoints"]
+__all__ = ["Estimate", "panel_integrate_1d", "panel_integrate_2d", "feature_breakpoints"]
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+class Estimate(float):
+    """A float that carries the absolute error estimate of its computation."""
+
+    error: float
+
+    def __new__(cls, value: float, error: float):
+        out = super().__new__(cls, value)
+        out.error = float(error)
+        return out
 
 
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

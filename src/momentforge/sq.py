@@ -38,7 +38,7 @@ from .distributions import (
 )
 from .errors import ValidationError
 from .gaussian import gaussian_density, gaussian_interval_mass, gaussian_moment
-from .integrate import feature_breakpoints, panel_integrate_1d
+from .integrate import Estimate, feature_breakpoints, panel_integrate_1d
 
 __all__ = [
     "ProjectionQuery",
@@ -77,7 +77,7 @@ class ProjectionQuery:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
             raise ValidationError("projection query direction must be a unit vector")
         object.__setattr__(self, "direction", d)
 
@@ -136,12 +136,23 @@ def _label_rng(label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
 
 
-def _gaussian_expectation(fn, tol_abs: float = 1e-11) -> float:
+def _gaussian_expectation(fn, tol_abs: float = 1e-11) -> Estimate:
     breaks = feature_breakpoints(-10.0, 10.0, [0.0], 1.0)
-    value, _ = panel_integrate_1d(
-        lambda t: fn(t) * gaussian_density(t), breaks, tol_abs
+    return Estimate(
+        *panel_integrate_1d(lambda t: fn(t) * gaussian_density(t), breaks, tol_abs)
     )
-    return value
+
+
+def _int_power(x: np.ndarray, p: int) -> np.ndarray:
+    """x^p for an integer p >= 1 by p - 1 multiplications, left to right.
+
+    libm pow costs some 50 times more per element; the product differs from
+    it by at most p - 1 rounding errors, and equals x * x exactly at p = 2.
+    """
+    out = x
+    for _ in range(p - 1):
+        out = out * x
+    return out
 
 
 def _gaussian_vector_moment(cov: np.ndarray, powers: tuple[int, ...]) -> float:
@@ -228,7 +239,9 @@ def _label(query) -> str:
 class QueryLogEntry:
     """One answer.  path is "sampled" (honest) or how the adversarial
     target expectation was computed: "series", "quadrature", "closed-form"
-    or "fallback"."""
+    or "fallback".  error is that expectation's absolute error estimate:
+    the integrator's, plus SERIES_TAIL on the series path; 0 for a closed
+    form and NaN where it was sampled."""
 
     label: str
     mode: str
@@ -236,6 +249,7 @@ class QueryLogEntry:
     tolerance: float
     path: str
     seconds: float
+    error: float
 
 
 class SqOracle:
@@ -328,12 +342,11 @@ class SqOracle:
         if isinstance(query, ProjectionQuery):
             vals = np.asarray(query.fn(samples_or_proj), dtype=float)
         elif isinstance(query, MonomialQuery):
-            vals = (
-                np.prod(
-                    samples_or_proj ** np.asarray(query.powers, dtype=float), axis=1
-                )
-                / query.clip_scale
-            )
+            # The columns' powers multiplied left to right, as np.prod does.
+            vals = _int_power(samples_or_proj[:, 0], query.powers[0])
+            for i, p in enumerate(query.powers[1:], 1):
+                vals = vals * _int_power(samples_or_proj[:, i], p)
+            vals = vals / query.clip_scale
         else:
             vals = np.asarray(query(samples_or_proj), dtype=float)
         clipped = np.clip(vals, lo, hi)
@@ -352,9 +365,9 @@ class SqOracle:
 
     def _true_expectation(
         self, query, target, squared: bool = False
-    ) -> tuple[float, str]:
-        """The query's (or its square's) expectation under target, and the
-        path that computed it."""
+    ) -> tuple[Estimate, str]:
+        """The query's (or its square's) expectation under target, with its
+        error estimate, and the path that computed it."""
         lo, hi = self._range
         if isinstance(query, ProjectionQuery):
 
@@ -378,7 +391,7 @@ class SqOracle:
                 terms = series_terms(constant, rho, SERIES_TAIL)
                 if terms <= SERIES_MAX_TERMS:
                     value = marginal.series_expectation(clipped_fn, cosine, terms)
-                    return value, "series"
+                    return Estimate(value, value.error + SERIES_TAIL), "series"
             return marginal.projected(cosine).expectation(clipped_fn), "quadrature"
 
         if isinstance(query, MonomialQuery):
@@ -398,15 +411,17 @@ class SqOracle:
             )
             scale = query.clip_scale**2 if squared else query.clip_scale
             if isinstance(target, NullTarget):
-                return _null_monomial_moment(eff) / scale, "closed-form"
-            return _planted_monomial_moment(target, eff) / scale, "closed-form"
+                moment = _null_monomial_moment(eff)
+            else:
+                moment = _planted_monomial_moment(target, eff)
+            return Estimate(moment / scale, 0.0), "closed-form"
 
         if self.fallback_samples > 0:
             rng = _label_rng(_label(query) + (":sq" if squared else ""))
             vals = self._honest_values(query, target, rng, self.fallback_samples)
             if squared:
                 vals = vals * vals
-            return float(np.mean(vals)), "fallback"
+            return Estimate(float(np.mean(vals)), math.nan), "fallback"
         raise ValidationError(
             "adversarial mode needs a registered query form or a fallback budget"
         )
@@ -416,7 +431,7 @@ class SqOracle:
     def _answer(self, query) -> float:
         start = time.perf_counter()
         if self.mode == "honest":
-            path = "sampled"
+            path, error = "sampled", math.nan
             if self.is_vstat:
                 n = max(int(math.ceil(4.0 * self.t)), 2)
                 vals = self._honest_values(query, self._target, self._rng, n)
@@ -433,6 +448,7 @@ class SqOracle:
             # The expectation of a range-clamped query provably lies in the
             # range; clipping removes quadrature round-off overshoot.
             e_target, path = self._true_expectation(query, self._target)
+            error = e_target.error
             e_target = min(max(e_target, lo), hi)
             if self.is_vstat:
                 e_sq, _ = self._true_expectation(query, self._target, squared=True)
@@ -445,7 +461,7 @@ class SqOracle:
             else:
                 e_null, _ = self._true_expectation(query, NullTarget(self.d))
                 e_null = min(max(e_null, lo), hi)
-            answer = min(max(e_null, e_target - tol), e_target + tol)
+            answer = float(min(max(e_null, e_target - tol), e_target + tol))
         self.query_log.append(
             QueryLogEntry(
                 label=_label(query),
@@ -454,6 +470,7 @@ class SqOracle:
                 tolerance=tol,
                 path=path,
                 seconds=time.perf_counter() - start,
+                error=error,
             )
         )
         return answer
@@ -525,7 +542,7 @@ def _clipped_power(j: int):
     scale = CLIP_BASE**j
 
     def fn(t):
-        return np.clip(np.asarray(t, dtype=float) ** j / scale, -1.0, 1.0)
+        return np.clip(_int_power(np.asarray(t, dtype=float), j) / scale, -1.0, 1.0)
 
     return fn
 

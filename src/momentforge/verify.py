@@ -34,7 +34,12 @@ from .errors import SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
-from .integrate import feature_breakpoints, panel_integrate_1d, panel_integrate_2d  # noqa: F401
+from .integrate import (  # noqa: F401
+    Estimate,
+    feature_breakpoints,
+    panel_integrate_1d,
+    panel_integrate_2d,
+)
 from .network import ReluNetwork1D
 
 # A spectral sum needing more terms than this raises SeriesTruncationError.
@@ -56,17 +61,6 @@ __all__ = [
     "distance_to_support",
     "verify_instance",
 ]
-
-
-class Estimate(float):
-    """A float that carries the absolute error estimate of its computation."""
-
-    error: float
-
-    def __new__(cls, value: float, error: float):
-        out = super().__new__(cls, value)
-        out.error = float(error)
-        return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each one computes the same quantity as a production path in the plainest
 form available: a Python loop where the library broadcasts, a full grid
-or a 1-D quadrature where the library sums a Hermite series.
+or a 1-D quadrature where the library sums a Hermite series, libm pow
+where the library multiplies.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -29,6 +30,7 @@ from momentforge.gaussian import (
     gaussian_interval_mass,
 )
 from momentforge.integrate import panel_integrate_1d, panel_integrate_2d
+from momentforge.sq import CLIP_BASE
 
 # Above this the p_k antiderivative form loses more than ~1e-10 relative to
 # cancellation on central intervals; switch to the incomplete-gamma form.
@@ -100,6 +102,23 @@ def quadrature_chi_squared(dist, breaks, tol_abs):
 
     value, _ = panel_integrate_1d(integrand, breaks, tol_abs)
     return value - 1.0
+
+
+def pow_monomial_values(coords, query):
+    """MonomialQuery values before the range clip, by libm pow:
+    prod_i coords[:, i] ** powers[i] / clip_scale."""
+    powered = coords ** np.asarray(query.powers, dtype=float)
+    return np.prod(powered, axis=1) / query.clip_scale
+
+
+def pow_clipped_power(j: int):
+    """sq._clipped_power(j) by libm pow: clip(t ** j / CLIP_BASE^j, -1, 1)."""
+    scale = CLIP_BASE**j
+
+    def fn(t):
+        return np.clip(np.asarray(t, dtype=float) ** j / scale, -1.0, 1.0)
+
+    return fn
 
 
 def double_fact_falling(m: int, i: int) -> int:

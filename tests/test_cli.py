@@ -259,6 +259,21 @@ class TestExportAndSample:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("direction", ["e1", "random"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["export", "sample"])
+    def test_dimension_must_be_positive(
+        self, built_m5, tmp_path, capsys, command, d, direction
+    ):
+        out = tmp_path / "out.json"
+        code = main(
+            [command, str(built_m5), "--d", d, "--direction", direction, "--out", str(out)]
+        )
+        assert code == 2
+        assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDistinguish:
     def test_moment_scan_dimension_below_subset(self, built_m5, capsys):
         code = main(

@@ -287,6 +287,11 @@ class TestSampleHidden:
         with pytest.raises(ValidationError):
             HiddenDirectionDist(d=3, v=np.array([1.0, 1.0, 0.0]), marginal=dist5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_direction_rejected(self, dist5, bad):
+        with pytest.raises(ValidationError, match="unit vector"):
+            HiddenDirectionDist(d=2, v=np.array([bad, 0.0]), marginal=dist5)
+
 
 class TestSampleNull:
     def test_moments(self):

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import pow_clipped_power, pow_monomial_values
 
 from momentforge import (
     HiddenDirectionDist,
@@ -20,7 +24,15 @@ from momentforge import (
 )
 from momentforge.distributions import STREAM_ORACLE, rng_stream
 from momentforge.gaussian import gaussian_moment
-from momentforge.sq import CLIP_BASE, Algorithm, answer_sequence, build_algorithm
+from momentforge.sq import (
+    CLIP_BASE,
+    SERIES_TAIL,
+    Algorithm,
+    _clipped_power,
+    _int_power,
+    answer_sequence,
+    build_algorithm,
+)
 
 D_SMALL = 10
 TAU = 0.01
@@ -136,6 +148,11 @@ class TestVstatQuery:
         assert abs(a_p - a_n) < abs(
             o_p.query_log[-1].answer - 0.6826894921370859
         ) + 2 * o_p.query_log[-1].tolerance
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValidationError, match="unit vector"):
+            ProjectionQuery(direction=np.array([bad, 0.0]), fn=np.tanh, label="bad")
 
     def test_wrong_interface_rejected(self, hidden):
         stat_oracle = make_oracle(PlantedTarget(hidden), "honest")
@@ -313,6 +330,64 @@ class TestHonestSamplingStreams:
         assert np.array_equal(got, want)
 
 
+kernel_settings = settings(max_examples=40, deadline=None, derandomize=True)
+# Magnitudes from 1e-3 to 50: every power up to 10 stays normal, so the
+# relative bound holds.
+magnitudes = st.floats(1e-3, 50.0)
+kernel_inputs = arrays(
+    np.float64, 64, elements=st.one_of(magnitudes, magnitudes.map(lambda v: -v))
+)
+
+
+class TestIntegerPowerKernel:
+    """The multiplication kernel against the libm pow references of
+    tests/oracles.py: p - 1 products stay within (p - 1) 2^-52 relative."""
+
+    @kernel_settings
+    @given(x=kernel_inputs, p=st.integers(1, 10))
+    def test_matches_pow_within_bound(self, x, p):
+        bound = (p - 1) * 2.0**-52
+        want = x ** float(p)
+        assert np.all(np.abs(_int_power(x, p) - want) <= bound * np.abs(want))
+        t = x / 4.0
+        want = pow_clipped_power(p)(t)
+        got = _clipped_power(p)(t)
+        assert np.all(np.abs(got - want) <= bound * np.abs(want))
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_bit_exact_on_small_integers(self, p):
+        x = np.arange(-12.0, 13.0)
+        assert np.array_equal(_int_power(x, p), x ** float(p))
+        assert np.array_equal(_clipped_power(p)(x), pow_clipped_power(p)(x))
+
+    @kernel_settings
+    @given(
+        powers=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        j=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_honest_answers_match_pow_reference(self, hidden, powers, j, seed):
+        # Each answer rebuilt from a fresh copy of the oracle's stream, the
+        # draws of the sampling paths TestHonestSamplingStreams pins down.
+        target = PlantedTarget(hidden)
+        n = math.ceil(4.0 / (TAU * TAU))
+        query = MonomialQuery(
+            indices=tuple(range(len(powers))), powers=tuple(powers), label="mono"
+        )
+        answer = stat_query(make_oracle(target, "honest", seed=seed), query)
+        rng = rng_stream(seed, STREAM_ORACLE)
+        coords = SqOracle._sample_monomial_coords(query, target, rng, n)
+        want = np.mean(np.clip(pow_monomial_values(coords, query), -1.0, 1.0))
+        assert abs(answer - want) <= 1e-15
+
+        u = np.full(D_SMALL, 1.0 / math.sqrt(D_SMALL))
+        query = ProjectionQuery(direction=u, fn=_clipped_power(j), label="proj")
+        answer = stat_query(make_oracle(target, "honest", seed=seed), query)
+        rng = rng_stream(seed, STREAM_ORACLE)
+        proj = SqOracle._sample_projection(query, target, rng, n)
+        assert abs(answer - np.mean(pow_clipped_power(j)(proj))) <= 1e-15
+
+
 class TestAnswerPaths:
     D = 50
 
@@ -360,6 +435,31 @@ class TestAnswerPaths:
         answer_sequence(make_oracle(target, "adversarial"), algo)
         assert len(algo.queries) == 60
         assert len(calls) == 5
+
+    def test_error_estimates_by_path(self, hidden50):
+        # The target expectation's error: the integrator's estimate (plus
+        # the series tail), 0 for closed forms, NaN when sampled.
+        def errors(target, mode, algo):
+            oracle = make_oracle(target, mode)
+            answer_sequence(oracle, algo)
+            return [entry.error for entry in oracle.query_log]
+
+        planted = PlantedTarget(hidden50)
+        projections = build_algorithm(
+            "random-projection-moment", self.D, seed=7, tau=TAU, n_directions=2
+        )
+        series = errors(planted, "adversarial", projections)
+        assert all(SERIES_TAIL <= e <= SERIES_TAIL + 1e-10 for e in series)
+        quadrature = errors(NullTarget(self.D), "adversarial", projections)
+        assert all(0.0 <= e <= 1e-11 for e in quadrature)
+        cheat = build_algorithm(
+            "oracle-v", self.D, seed=7, tau=TAU, planted_hint=hidden50
+        )
+        (comb,) = errors(planted, "adversarial", cheat)
+        assert 0.0 <= comb <= 1e-10
+        monomials = build_algorithm("moment-scan", self.D, seed=7, tau=TAU)
+        assert set(errors(planted, "adversarial", monomials)) == {0.0}
+        assert all(math.isnan(e) for e in errors(planted, "honest", monomials))
 
     def test_labelled_queries_skip_repr(self, hidden):
         class Labelled:
