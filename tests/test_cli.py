@@ -266,9 +266,8 @@ class TestExportAndSample:
         self, built_m5, tmp_path, capsys, command, d, direction
     ):
         out = tmp_path / "out.json"
-        code = main(
-            [command, str(built_m5), "--d", d, "--direction", direction, "--out", str(out)]
-        )
+        args = ["--d", d, "--direction", direction, "--out", str(out)]
+        code = main([command, str(built_m5), *args])
         assert code == 2
         assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
         assert not out.exists()

@@ -88,6 +88,11 @@ class TestStatQuery:
         with pytest.raises(ValidationError):
             SqOracle(PlantedTarget(hidden), "honest", tau=0.1, t=100)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValidationError, match="unit vector"):
+            ProjectionQuery(direction=np.array([bad, 0.0]), fn=np.tanh, label="bad")
+
     def test_unregistered_adversarial_query_needs_budget(self, hidden):
         generic = lambda x: np.clip(x[:, 0] * x[:, 1], -1, 1)  # noqa: E731
         oracle = make_oracle(PlantedTarget(hidden), "adversarial")
@@ -148,11 +153,6 @@ class TestVstatQuery:
         assert abs(a_p - a_n) < abs(
             o_p.query_log[-1].answer - 0.6826894921370859
         ) + 2 * o_p.query_log[-1].tolerance
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_direction_rejected(self, bad):
-        with pytest.raises(ValidationError, match="unit vector"):
-            ProjectionQuery(direction=np.array([bad, 0.0]), fn=np.tanh, label="bad")
 
     def test_wrong_interface_rejected(self, hidden):
         stat_oracle = make_oracle(PlantedTarget(hidden), "honest")
