@@ -292,10 +292,14 @@ def network_from_payload(payload: dict):
     raise ValidationError(f"unknown network kind {kind!r}")
 
 
-def _hidden_direction(d: int, direction: str, seed: int) -> np.ndarray:
-    """The --direction unit vector in R^d: e1, or a seeded random one."""
+def _check_dimension(d: int) -> None:
     if d < 1:
         raise ValidationError(f"--d must be >= 1, got {d}")
+
+
+def _hidden_direction(d: int, direction: str, seed: int) -> np.ndarray:
+    """The --direction unit vector in R^d: e1, or a seeded random one."""
+    _check_dimension(d)
     if direction == "e1":
         v = np.zeros(d)
         v[0] = 1.0
@@ -338,6 +342,7 @@ def cmd_sample(args) -> int:
     if args.kind == "null":
         if args.d is None:
             raise ValidationError("null sampling needs --d")
+        _check_dimension(args.d)
         samples = sample_null(args.d, args.n, args.seed)
     elif kind == "lifted":
         net = network_from_payload(data)
@@ -360,6 +365,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
+    _check_dimension(args.d)
     _, _, evolved, _ = _load_build(args.instance)
     marginal = PushforwardDist.from_instance(evolved, args.sigma)
 

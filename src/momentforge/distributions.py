@@ -32,7 +32,6 @@ from .bumps import (
 from .errors import ValidationError
 from .gaussian import (
     HERMITE_KAPPA,
-    gaussian_density,
     gaussian_interval_mass,
     gaussian_moment,
     hermite_rows,
@@ -142,19 +141,20 @@ class ProjectedLaw:
         base = max(reach) if reach else 0.0
         return base + tail_sigmas * max(self.width, 1e-6)
 
-    def panel_breaks(self) -> np.ndarray:
-        """Panel edges aligned with this law's features, for its integrals."""
+    def panel_breaks(self, jumps=()) -> np.ndarray:
+        """Panel edges aligned with this law's features and the integrand's
+        jump points, for its integrals."""
         bound = self.integration_bound()
         return feature_breakpoints(
-            -bound, bound, self.feature_points(), max(self.width, 1e-6)
+            -bound, bound, self.feature_points(), max(self.width, 1e-6), jumps=jumps
         )
 
-    def expectation(self, fn, tol_abs: float = 1e-10) -> Estimate:
-        """Integral of fn against this density by feature-aligned panels,
-        with the integrator's error estimate."""
+    def expectation(self, fn, tol_abs: float = 1e-10, jumps=()) -> Estimate:
+        """Integral of fn against this density by panels aligned with the
+        law's features and fn's jumps, with the integrator's error estimate."""
         return Estimate(
             *panel_integrate_1d(
-                lambda t: fn(t) * self.density(t), self.panel_breaks(), tol_abs
+                lambda t: fn(t) * self.density(t), self.panel_breaks(jumps), tol_abs
             )
         )
 
@@ -210,6 +210,7 @@ class PushforwardDist:
         self.sigma = float(sigma)
         self.scale = math.sqrt(1.0 - sigma * sigma)
         self._spectrum: list[float] = []
+        self._moments: dict[int, float] = {}
         self._spectrum_source = None
         if sigma > 0.0:
             if inst is None:
@@ -262,9 +263,14 @@ class PushforwardDist:
 
     def moment(self, k: int) -> float:
         """E[x^k] by the binomial convolution identity (exact given the
-        instance moments)."""
+        instance moments); kept per order like the Hermite spectrum."""
         if k < 0:
             raise ValidationError("moment order must be nonnegative")
+        if k not in self._moments:
+            self._moments[k] = self._moment(k)
+        return self._moments[k]
+
+    def _moment(self, k: int) -> float:
         if k == 0:
             return 1.0
         if self.inst is None:
@@ -309,24 +315,6 @@ class PushforwardDist:
             return 0.0
         radius = float(np.max(np.abs(self.inst.heights())))
         return HERMITE_KAPPA * math.exp(radius * radius / 4.0)
-
-    def series_expectation(
-        self, fn, cosine: float, terms: int, tol_abs: float = 1e-10
-    ) -> Estimate:
-        """E[fn(<u, x>)] for <u, v> = cosine against the projected density's
-        Mehler series phi(t) sum_{k <= terms} (cosine scale)^k a_k h_k(t), on
-        the projected law's panel breaks, with the integrator's error
-        estimate.  The caller bounds the truncation."""
-        coeffs = self.hermite_spectrum(terms) * (cosine * self.scale) ** np.arange(
-            terms + 1
-        )
-
-        def integrand(t):
-            series = sum(c * h for c, h in zip(coeffs, hermite_rows(t)))
-            return fn(t) * gaussian_density(t) * series
-
-        breaks = self.projected(cosine).panel_breaks()
-        return Estimate(*panel_integrate_1d(integrand, breaks, tol_abs))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of scale * f(g1) + sigma * g2, taking g1 and then g2 from rng."""

@@ -15,6 +15,11 @@ order covers a row: one panel's nodes on each leading axis and the joined
 nodes of all listed last-axis panels (every panel at first, then one box
 with its split side halved).  Factors of one coordinate, like D(x) and D(x')
 in the verification integrand, are thus evaluated once per row.
+
+An integrand may add a trailing output axis, one entry per row of a
+vector-valued integral (say the Hermite projections h_0..h_K of one query
+function); the value is then that vector and a panel's error the largest
+gap over its rows.  Scalar integrals are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -51,11 +56,12 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def feature_breakpoints(
-    lo: float, hi: float, features, width: float, offsets=(1.0, 6.0)
+    lo: float, hi: float, features, width: float, offsets=(1.0, 6.0), jumps=()
 ) -> np.ndarray:
     """Sorted panel edges on [lo, hi]: the bounds plus each feature point
-    bracketed at the given multiples of its width."""
-    edges = {lo, hi}
+    bracketed at the given multiples of its width, plus the jump points
+    (where the integrand is discontinuous) themselves."""
+    edges = {lo, hi} | {float(j) for j in jumps if lo < j < hi}
     for f in np.atleast_1d(np.asarray(features, dtype=float)):
         for mult in offsets:
             for edge in (f - mult * width, f + mult * width):
@@ -70,7 +76,8 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
     """Integrate f over the tensor product of the per-axis breaks (one or two
     axes), refining the worst panel across its widest side, the first such
     axis on a tie.  f gets one node vector per axis; the weights contract
-    its grid of values one axis at a time, leading axis first."""
+    its grid of values one axis at a time, leading axis first, and leave
+    any trailing output axis."""
     axes = []
     for edges in breaks:
         edges = np.asarray(edges, dtype=float)
@@ -94,20 +101,23 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
             tail = (lo[:, None] + (hi - lo)[:, None] * xs).ravel()
             rows = []
             for row in itertools.product(*leading):
-                vals = f(*[a + (b - a) * xs for a, b in row], tail)
+                vals = np.asarray(f(*[a + (b - a) * xs for a, b in row], tail))
                 for _ in row:
-                    vals = np.dot(ws, vals)
+                    flat = np.dot(ws, vals.reshape(xs.size, -1))
+                    vals = flat.reshape(vals.shape[1:])
                 volume = math.prod(b - a for a, b in row) * (hi - lo)
                 # One dot per panel, the same sum whichever row it shares.
-                sides = np.reshape(vals, (lo.size, xs.size))
-                rows.append(volume * [np.dot(ws, side) for side in sides])
+                sides = np.reshape(vals, (lo.size, xs.size) + vals.shape[1:])
+                ints = np.array([np.dot(ws, side) for side in sides])
+                rows.append((volume * ints.T).T)
             est.append(np.concatenate(rows))
-        for box, coarse, fine in zip(itertools.product(*panels), *est):
-            coarse, fine = float(coarse), float(fine)
-            err = abs(fine - coarse)
-            total += fine
+        coarse, fine = est
+        errs = np.abs(fine - coarse).reshape(fine.shape[0], -1).max(axis=1)
+        values = fine if fine.ndim > 1 else fine.tolist()
+        for box, err, value in zip(itertools.product(*panels), errs.tolist(), values):
+            total = total + value
             total_err += err
-            heapq.heappush(heap, (-err, next(counter), box, fine))
+            heapq.heappush(heap, (-err, next(counter), box, value))
 
     sweep(axes)
     panels = len(heap)
@@ -132,8 +142,9 @@ def panel_integrate_1d(
     f, breakpoints, tol_abs: float, max_panels: int = 4096
 ) -> tuple[float, float]:
     """Integrate vectorized f over the span of `breakpoints` with order-24
-    panels.  Returns (value, error estimate); raises QuadratureError if the
-    panel budget is exhausted before the estimate reaches tol_abs."""
+    panels.  Returns (value, error estimate), the value a vector when f
+    returns one row per node; raises QuadratureError if the panel budget is
+    exhausted before the estimate reaches tol_abs."""
     return _panel_integrate(f, (breakpoints,), tol_abs, 24, max_panels)
 
 

@@ -8,6 +8,11 @@ truncated Mehler series of the projected density, or quadrature of the exact
 density where the series would need too many terms; a deterministic
 label-keyed sampling fallback otherwise) and round it toward the
 corresponding N(0, I) expectation as far as the tolerance budget allows.
+A series answer is the dot product sum_k (c s)^k a_k q_k of the marginal's
+Hermite spectrum with the query function's Hermite projections
+q_k = E_N[q h_k], tabulated by vector-valued integrals once per function
+object for the whole process.  Quadratures put panel breaks at the query's
+declared jump points.
 The rounding target is computed identically for planted and null targets,
 so any query whose two expectations differ by less than the tolerance
 receives the bitwise-identical answer under both -- the indistinguishability
@@ -22,8 +27,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +44,12 @@ from .distributions import (
     series_terms,
 )
 from .errors import ValidationError
-from .gaussian import gaussian_density, gaussian_interval_mass, gaussian_moment
+from .gaussian import (
+    gaussian_density,
+    gaussian_interval_mass,
+    gaussian_moment,
+    hermite_rows,
+)
 from .integrate import Estimate, feature_breakpoints, panel_integrate_1d
 
 __all__ = [
@@ -61,6 +73,16 @@ CLIP_BASE = 12.0  # monomials are scaled by CLIP_BASE^degree before clipping
 # SERIES_MAX_TERMS terms, and integrates the exact projected density if not.
 SERIES_MAX_TERMS = 500
 SERIES_TAIL = 1e-11
+# A query function's Hermite projections are integrated on
+# [-PROJECTION_BOUND, PROJECTION_BOUND] over PROJECTION_PANELS equal panels
+# (plus its jumps), on which every row h_k, k <= SERIES_MAX_TERMS, times the
+# Gaussian density meets PROJECTION_TOL without refinement.  By Cramer's
+# inequality |h_k phi| <= 1.0865 e^(-t^2/4) / sqrt(2 pi), so a row leaves
+# less than 4e-17 outside the bound.  Rows come PROJECTION_BLOCK at a time.
+PROJECTION_BOUND = 12.0
+PROJECTION_PANELS = 48
+PROJECTION_TOL = 1e-13
+PROJECTION_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -68,18 +90,24 @@ class ProjectionQuery:
     """Query f(x) = fn(<direction, x>) for a vectorized 1-D fn.
 
     fn must be a pure function: adversarial oracles keep its N(0,1)
-    expectation keyed by the function object.
+    expectation keyed by the function object, and its Hermite projections
+    in a table shared by every oracle of the process, keyed by the function
+    object (dropped with it).  jumps lists the points where fn is
+    discontinuous; quadratures break their panels there.  They belong to fn:
+    a table made for one query serves every query of the same fn.
     """
 
     direction: np.ndarray
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
+    jumps: tuple[float, ...] = ()
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
             raise ValidationError("projection query direction must be a unit vector")
         object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "jumps", tuple(float(j) for j in self.jumps))
 
 
 @dataclass(frozen=True)
@@ -136,11 +164,48 @@ def _label_rng(label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
 
 
-def _gaussian_expectation(fn, tol_abs: float = 1e-11) -> Estimate:
-    breaks = feature_breakpoints(-10.0, 10.0, [0.0], 1.0)
+def _gaussian_expectation(fn, jumps, tol_abs: float = 1e-11) -> Estimate:
+    breaks = feature_breakpoints(-10.0, 10.0, [0.0], 1.0, jumps=jumps)
     return Estimate(
         *panel_integrate_1d(lambda t: fn(t) * gaussian_density(t), breaks, tol_abs)
     )
+
+
+# query.fn -> {(lo, hi, squared): [(q block, error), ...]}
+_PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _hermite_projections(
+    query, clipped_fn, variant, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """q_k = E_N[clipped_fn(t) h_k(t)] for k <= terms, with each row's error.
+
+    Rows are integrated PROJECTION_BLOCK at a time, each block one
+    vector-valued integral made once per query function and clip variant
+    and kept while the function lives.  A row's value thus never depends on
+    which queries came before, and an integrand call holds one block.
+    """
+    try:
+        blocks = _PROJECTIONS.setdefault(query.fn, {}).setdefault(variant, [])
+    except TypeError:  # fn takes no weak reference (a ufunc, say)
+        blocks = []
+    while len(blocks) * PROJECTION_BLOCK <= terms:
+        first = len(blocks) * PROJECTION_BLOCK
+
+        def integrand(t):
+            weight = clipped_fn(t) * gaussian_density(t)
+            out = np.empty((t.size, PROJECTION_BLOCK))
+            rows = itertools.islice(hermite_rows(t), first, first + PROJECTION_BLOCK)
+            for k, h in enumerate(rows):
+                out[:, k] = h * weight
+            return out
+
+        grid = np.linspace(-PROJECTION_BOUND, PROJECTION_BOUND, PROJECTION_PANELS + 1)
+        breaks = np.union1d(grid, [j for j in query.jumps if abs(j) < PROJECTION_BOUND])
+        blocks.append(panel_integrate_1d(integrand, breaks, PROJECTION_TOL))
+    values = np.concatenate([v for v, _ in blocks])
+    errors = np.repeat([e for _, e in blocks], PROJECTION_BLOCK)
+    return values[: terms + 1], errors[: terms + 1]
 
 
 def _int_power(x: np.ndarray, p: int) -> np.ndarray:
@@ -378,7 +443,9 @@ class SqOracle:
             if isinstance(target, NullTarget):
                 key = (query.fn, squared)
                 if key not in self._gaussian_expectations:
-                    self._gaussian_expectations[key] = _gaussian_expectation(clipped_fn)
+                    self._gaussian_expectations[key] = _gaussian_expectation(
+                        clipped_fn, query.jumps
+                    )
                 return self._gaussian_expectations[key], "quadrature"
             marginal = target.hidden.marginal
             cosine = float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
@@ -390,9 +457,19 @@ class SqOracle:
                 constant = marginal.hermite_bound() / math.sqrt(1.0 - rho * rho)
                 terms = series_terms(constant, rho, SERIES_TAIL)
                 if terms <= SERIES_MAX_TERMS:
-                    value = marginal.series_expectation(clipped_fn, cosine, terms)
-                    return Estimate(value, value.error + SERIES_TAIL), "series"
-            return marginal.projected(cosine).expectation(clipped_fn), "quadrature"
+                    # By the Mehler identity the projected density is
+                    # phi(t) sum_k (cosine scale)^k a_k h_k(t).
+                    table, table_err = _hermite_projections(
+                        query, clipped_fn, (lo, hi, squared), terms
+                    )
+                    coeffs = marginal.hermite_spectrum(terms) * (
+                        cosine * marginal.scale
+                    ) ** np.arange(terms + 1)
+                    value = float(coeffs @ table)
+                    error = float(np.abs(coeffs) @ table_err) + SERIES_TAIL
+                    return Estimate(value, error), "series"
+            law = marginal.projected(cosine)
+            return law.expectation(clipped_fn, jumps=query.jumps), "quadrature"
 
         if isinstance(query, MonomialQuery):
             if self.is_vstat:
@@ -607,7 +684,12 @@ def build_algorithm(
         comb = np.unique(np.concatenate([marg.scale * marg.inst.heights(), [0.0]]))
         window = 4.0 * max(marg.sigma, 1e-3)
         fn = _comb_indicator(comb, window)
-        query = ProjectionQuery(direction=planted_hint.v, fn=fn, label="comb-along-v")
+        query = ProjectionQuery(
+            direction=planted_hint.v,
+            fn=fn,
+            label="comb-along-v",
+            jumps=tuple(np.concatenate([comb - window, comb + window])),
+        )
         null_ref = _union_interval_mass(comb, window)
         return Algorithm(algo_id, (query,), (null_ref,), threshold=0.3)
     raise ValidationError(f"unknown algorithm id {algo_id!r}")

@@ -272,8 +272,24 @@ class TestExportAndSample:
         assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_null_dimension_must_be_positive(self, built_m5, tmp_path, capsys, d):
+        out = tmp_path / "out.csv"
+        args = ["--kind", "null", "--d", d, "--out", str(out)]
+        assert main(["sample", str(built_m5), *args]) == 2
+        assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistinguish:
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_dimension_must_be_positive(self, built_m5, tmp_path, capsys, d):
+        out = tmp_path / "dist.json"
+        code = main(["distinguish", str(built_m5), "--d", d, "--out", str(out)])
+        assert code == 2
+        assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_moment_scan_dimension_below_subset(self, built_m5, capsys):
         code = main(
             ["distinguish", str(built_m5), "--d", "2", "--algo", "moment-scan"]

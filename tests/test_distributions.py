@@ -150,6 +150,22 @@ class TestDensity:
             se = float(np.std(samples**k)) / math.sqrt(n)
             assert abs(float(np.mean(samples**k)) - want) <= 4.0 * se
 
+    def test_moments_are_kept(self, build5, monkeypatch):
+        from momentforge import distributions
+
+        _, evolved, _ = build5
+        dist = PushforwardDist.from_instance(evolved, 0.05)
+        first = [dist.moment(k) for k in range(12)]
+        calls = []
+        monkeypatch.setattr(
+            distributions, "instance_pushforward_moment", lambda *a: calls.append(a)
+        )
+        again = [dist.moment(k) for k in range(12)]
+        assert calls == []
+        monkeypatch.undo()
+        fresh = PushforwardDist.from_instance(evolved, 0.05)
+        assert again == first == [fresh.moment(k) for k in range(12)]
+
 
 class TestProjectedLaw:
     def test_full_cosine_recovers_marginal(self, dist5, rng):

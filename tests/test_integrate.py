@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from momentforge import QuadratureError, ValidationError
-from momentforge.integrate import panel_integrate_1d, panel_integrate_2d
+from momentforge.integrate import (
+    feature_breakpoints,
+    panel_integrate_1d,
+    panel_integrate_2d,
+)
 
 
 def correlated_gaussian_kernel(rho):
@@ -66,6 +70,20 @@ class TestPanelIntegrate2D:
         row_shapes = {((n,), (k * n,)) for n in (order, 2 * order) for k in (1, 2)}
         assert set(seen[2:]) == row_shapes
 
+    def test_rows_match_scalar_integrals(self):
+        # A trailing output axis survives the contraction of both node axes.
+        kernels = [correlated_gaussian_kernel(rho) for rho in (0.0, 0.5)]
+        breaks = np.linspace(-15.0, 15.0, 4)
+
+        def rows(gx, gy):
+            return np.stack([kernel(gx, gy) for kernel in kernels], axis=-1)
+
+        values, _ = panel_integrate_2d(rows, breaks, breaks, 1e-10)
+        assert values.shape == (2,)
+        for kernel, value in zip(kernels, values):
+            want, _ = panel_integrate_2d(kernel, breaks, breaks, 1e-10)
+            assert value == pytest.approx(want, abs=1e-10)
+
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QuadratureError):
             panel_integrate_2d(
@@ -118,3 +136,52 @@ class TestPanelIntegrate1D:
         assert value == pytest.approx((1.3**2 + 0.7**2) / 2.0, abs=1e-9)
         order = 24
         assert set(seen[2:]) == {(2 * order,), (4 * order,)}
+
+    def test_rows_match_scalar_integrals(self):
+        # A trailing output axis integrates each row; a panel's error is its
+        # largest row gap, so the returned error bounds every row's error.
+        tol = 1e-9
+        rows = [
+            lambda x: np.abs(x - 0.3),
+            lambda x: np.exp(-x * x / 2.0),
+            lambda x: np.cos(5.0 * x),
+        ]
+        exact = [
+            (1.3**2 + 0.7**2) / 2.0,
+            math.sqrt(2.0 * math.pi) * math.erf(1.0 / math.sqrt(2.0)),
+            2.0 * math.sin(5.0) / 5.0,
+        ]
+        values, err = panel_integrate_1d(
+            lambda x: np.stack([row(x) for row in rows], axis=-1), [-1.0, 1.0], tol
+        )
+        assert values.shape == (3,)
+        assert err <= tol
+        for row, value, want in zip(rows, values, exact):
+            scalar, _ = panel_integrate_1d(row, [-1.0, 1.0], tol)
+            assert abs(value - scalar) <= tol
+            assert abs(value - want) <= err
+
+    def test_one_row_is_the_scalar_integral(self):
+        def kinked(x):
+            return np.abs(x - 0.3)
+
+        breaks = [-1.0, 1.0]
+        (value,), err = panel_integrate_1d(lambda x: kinked(x)[:, None], breaks, 1e-9)
+        assert (value, err) == panel_integrate_1d(kinked, breaks, 1e-9)
+
+    def test_jumps_become_breaks(self):
+        breaks = feature_breakpoints(-1.0, 1.0, [], 1.0, jumps=(0.25, -3.0, 1.0))
+        assert breaks.tolist() == [-1.0, 0.25, 1.0]
+        # Breaks at the jumps of an indicator leave nothing to refine.
+        calls = []
+
+        def indicator(x):
+            calls.append(x.size)
+            return ((x >= 0.25) & (x <= 0.5)).astype(float)
+
+        value, err = panel_integrate_1d(
+            indicator, feature_breakpoints(-1.0, 1.0, [], 1.0, jumps=(0.25, 0.5)), 1e-12
+        )
+        assert value == pytest.approx(0.25, abs=1e-15)
+        assert err <= 1e-15
+        assert len(calls) == 2

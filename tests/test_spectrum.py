@@ -133,3 +133,27 @@ def test_series_answers_match_projected_quadrature(dist5, cosine, j, variant):
     cos_uv = float(u @ hidden.v)
     want = dist5.projected(cos_uv).expectation(clipped)
     assert value == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("cosine", [0.5, 0.8, 0.9, -0.9])
+@pytest.mark.parametrize("variant", ["stat", "vstat-squared"])
+def test_series_answers_match_tight_quadrature(dist5, cosine, variant):
+    # The dot product of the spectrum with the query's Hermite projections
+    # agrees with the exact projected density to rounding.
+    oracle, hidden, u = planted_oracle(dist5, cosine, variant)
+    squared = variant == "vstat-squared"
+    lo = 0.0 if squared else -1.0
+    law = dist5.projected(float(u @ hidden.v))
+    for j in range(1, 6):
+        fn = _clipped_power(j)
+        query = ProjectionQuery(direction=u, fn=fn, label=f"t^{j}")
+        value, path = oracle._true_expectation(query, oracle._target, squared=squared)
+        assert path == "series"
+
+        def clipped(t):
+            out = np.clip(fn(t), lo, 1.0)
+            return out * out if squared else out
+
+        want = law.expectation(clipped, tol_abs=1e-13)
+        assert abs(value - want) <= 1e-15
+        assert abs(value - want) <= value.error

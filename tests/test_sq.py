@@ -33,6 +33,7 @@ from momentforge.sq import (
     answer_sequence,
     build_algorithm,
 )
+from momentforge.integrate import panel_integrate_1d
 
 D_SMALL = 10
 TAU = 0.01
@@ -460,6 +461,86 @@ class TestAnswerPaths:
         monomials = build_algorithm("moment-scan", self.D, seed=7, tau=TAU)
         assert set(errors(planted, "adversarial", monomials)) == {0.0}
         assert all(math.isnan(e) for e in errors(planted, "honest", monomials))
+
+    def test_comb_answers_are_certified(self, hidden50):
+        # The indicator's jumps at comb +- window are panel breaks, so both
+        # answers land within their logged error of exact references.
+        cheat = build_algorithm(
+            "oracle-v", self.D, seed=7, tau=TAU, planted_hint=hidden50
+        )
+        (query,) = cheat.queries
+        null = make_oracle(NullTarget(self.D), "adversarial")
+        answer = stat_query(null, query)
+        # The reference is the exact Gaussian mass of the union of intervals;
+        # a few ulps cover the rounding of it and of the panel sum.
+        (ref,) = cheat.references
+        assert abs(answer - ref) <= null.query_log[0].error + 4 * math.ulp(ref)
+
+        planted = make_oracle(PlantedTarget(hidden50), "adversarial")
+        value, path = planted._true_expectation(query, planted._target)
+        stat_query(planted, query)
+        assert path == "quadrature"
+        assert planted.query_log[0].error == value.error
+        half = len(query.jumps) // 2
+        merged: list[list[float]] = []
+        for lo, hi in sorted(zip(query.jumps[:half], query.jumps[half:])):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        law = hidden50.marginal.projected(1.0)
+        want, want_err = 0.0, 0.0
+        for lo, hi in merged:
+            inner = [b for b in law.panel_breaks() if lo < b < hi]
+            part, err = panel_integrate_1d(law.density, [lo, *inner, hi], 1e-13)
+            want, want_err = want + part, want_err + err
+        assert abs(value - want) <= value.error + want_err
+        # Without breaks at the jumps the estimate stalls near the 1e-10
+        # tolerance while bisection chases each jump.
+        assert value.error <= 1e-13
+
+    def test_projection_tables_shared_across_oracles(self, hidden50, monkeypatch):
+        # Fresh function objects, so no earlier test has tabulated them.
+        from momentforge import sq as sq_module
+
+        tables = []
+        original = sq_module.panel_integrate_1d
+
+        def counted(f, *args):
+            value, err = original(f, *args)
+            if np.ndim(value) == 1:
+                tables.append(f)
+            return value, err
+
+        monkeypatch.setattr(sq_module, "panel_integrate_1d", counted)
+        fns = [lambda t, j=j: np.clip(t**j / 8.0**j, -1.0, 1.0) for j in (2, 3)]
+        w = np.random.default_rng(9).standard_normal(self.D)
+        w -= (w @ hidden50.v) * hidden50.v
+        w /= np.linalg.norm(w)
+
+        def ask(cosine):
+            u = cosine * hidden50.v + math.sqrt(1.0 - cosine * cosine) * w
+            oracle = make_oracle(PlantedTarget(hidden50), "adversarial")
+            queries = [ProjectionQuery(direction=u, fn=fn, label="q") for fn in fns]
+            return [oracle._true_expectation(q, oracle._target)[0] for q in queries]
+
+        first = ask(0.3)
+        assert ask(0.2) != first
+        assert len(tables) == len(fns)  # one block of rows each
+        ask(0.9)  # needs more rows, in further blocks
+        assert ask(0.3) == first
+
+    def test_function_without_weak_reference(self, hidden50):
+        # A ufunc cannot key the shared table; its projections are made per
+        # answer instead.
+        u = np.random.default_rng(3).standard_normal(self.D)
+        u /= np.linalg.norm(u)
+        query = ProjectionQuery(direction=u, fn=np.tanh, label="tanh")
+        oracle = make_oracle(PlantedTarget(hidden50), "adversarial")
+        value, path = oracle._true_expectation(query, oracle._target)
+        assert path == "series"
+        law = hidden50.marginal.projected(float(u @ hidden50.v))
+        assert value == pytest.approx(law.expectation(np.tanh), abs=1e-10)
 
     def test_labelled_queries_skip_repr(self, hidden):
         class Labelled:
