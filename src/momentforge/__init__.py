@@ -71,7 +71,6 @@ from .sq import (
     SqOracle,
     run_distinguisher,
     stat_query,
-    vstat_query,
 )
 from .verify import (
     VerificationReport,

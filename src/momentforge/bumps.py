@@ -203,12 +203,6 @@ class BumpInstance:
     def heights(self) -> np.ndarray:
         return np.array([b.height for b in self.bumps])
 
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.bumps])
-
-    def half_widths(self) -> np.ndarray:
-        return np.array([b.half_width for b in self.bumps])
-
     def left_heights(self) -> np.ndarray:
         return self.heights()[: self.half]
 

@@ -3,11 +3,14 @@
 One routine refines panels on one or two axes: a panel's error estimate is
 the gap between its order-n and order-2n tensor rules, and the worst panel
 is halved across its widest side until the summed estimate meets the
-tolerance.  panel_integrate_1d and panel_integrate_2d are its two entry
-points.  The verification integrands are smooth inside panels whose edges
-align with the comb features of the smoothed pushforward density (teeth of
-width sigma around the scaled plateau heights), so refinement converges fast
-and deterministically.
+tolerance.  The returned error adds a rounding floor, ROUNDING_ULPS machine
+epsilons of each final panel's sum of |w f|, so a converged integral never
+claims less error than its own rounding; refinement ignores the floor.
+panel_integrate_1d and panel_integrate_2d are its two entry points.  The
+verification integrands are smooth inside panels whose edges align with the
+comb features of the smoothed pushforward density (teeth of width sigma
+around the scaled plateau heights), so refinement converges fast and
+deterministically.
 
 Integrands are vectorized and get one node vector per axis: a 2-D integrand
 f(gx, gy) returns the len(gx) x len(gy) grid f(gx[i], gy[j]).  One call per
@@ -35,6 +38,7 @@ from .errors import QuadratureError, ValidationError
 __all__ = ["Estimate", "panel_integrate_1d", "panel_integrate_2d", "feature_breakpoints"]
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+ROUNDING_ULPS = 4
 
 
 class Estimate(float):
@@ -84,7 +88,8 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
         if edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValidationError("breakpoints must be ascending with >= 2 entries")
         axes.append([(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])])
-    heap: list[tuple[float, int, tuple[tuple[float, float], ...], float]] = []
+    # (-err, tie-break, box, value, rounding floor)
+    heap: list[tuple[float, int, tuple[tuple[float, float], ...], float, float]] = []
     counter = itertools.count()
     total = 0.0
     total_err = 0.0
@@ -96,33 +101,48 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
         nonlocal total, total_err
         *leading, last = panels
         lo, hi = np.array(last).T
-        est = []
+        est, magnitudes = [], []
         for xs, ws in rules:
             tail = (lo[:, None] + (hi - lo)[:, None] * xs).ravel()
-            rows = []
-            for row in itertools.product(*leading):
-                vals = np.asarray(f(*[a + (b - a) * xs for a, b in row], tail))
+
+            def contract(vals, row, per_panel=True):
                 for _ in row:
                     flat = np.dot(ws, vals.reshape(xs.size, -1))
                     vals = flat.reshape(vals.shape[1:])
                 volume = math.prod(b - a for a, b in row) * (hi - lo)
-                # One dot per panel, the same sum whichever row it shares.
                 sides = np.reshape(vals, (lo.size, xs.size) + vals.shape[1:])
-                ints = np.array([np.dot(ws, side) for side in sides])
-                rows.append((volume * ints.T).T)
+                if per_panel:
+                    # One dot per panel, the same sum whichever row it shares.
+                    ints = np.array([np.dot(ws, side) for side in sides])
+                else:
+                    ints = np.tensordot(ws, sides, axes=(0, 1))
+                return (volume * ints.T).T
+
+            rows = []
+            for row in itertools.product(*leading):
+                vals = np.asarray(f(*[a + (b - a) * xs for a, b in row], tail))
+                rows.append(contract(vals, row))
+                if len(est) == 1:  # the fine rule; its floor need not be exact
+                    magnitudes.append(contract(np.abs(vals), row, per_panel=False))
             est.append(np.concatenate(rows))
         coarse, fine = est
-        errs = np.abs(fine - coarse).reshape(fine.shape[0], -1).max(axis=1)
+        n = fine.shape[0]
+        errs = np.abs(fine - coarse).reshape(n, -1).max(axis=1)
+        # The weights are positive, so the fine rule's contraction of |f| is
+        # each panel's sum of |w f|.
+        floors = ROUNDING_ULPS * np.finfo(float).eps * np.concatenate(magnitudes)
+        floors = floors.reshape(n, -1).max(axis=1)
         values = fine if fine.ndim > 1 else fine.tolist()
-        for box, err, value in zip(itertools.product(*panels), errs.tolist(), values):
+        boxes = itertools.product(*panels)
+        for box, err, value, floor in zip(boxes, errs.tolist(), values, floors.tolist()):
             total = total + value
             total_err += err
-            heapq.heappush(heap, (-err, next(counter), box, value))
+            heapq.heappush(heap, (-err, next(counter), box, value, floor))
 
     sweep(axes)
     panels = len(heap)
     while total_err > tol_abs and panels < max_panels:
-        neg_err, _, box, fine = heapq.heappop(heap)
+        neg_err, _, box, fine, _ = heapq.heappop(heap)
         total -= fine
         total_err += neg_err  # neg_err is -err
         widths = [hi - lo for lo, hi in box]
@@ -135,7 +155,7 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
         panels += 1
     if total_err > tol_abs:
         raise QuadratureError(achieved=total_err, target=tol_abs)
-    return total, total_err
+    return total, total_err + sum(item[-1] for item in heap)
 
 
 def panel_integrate_1d(

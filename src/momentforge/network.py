@@ -203,14 +203,6 @@ class LiftedNetwork:
     rotation: np.ndarray
     output_rows: tuple[int, ...]
 
-    @property
-    def input_dim(self) -> int:
-        return self.d + 1
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.output_rows)
-
     def size_report(self) -> dict:
         """Per-coordinate size under both accounting conventions."""
         inner_units = self.inner.size

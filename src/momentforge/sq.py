@@ -1,13 +1,14 @@
-"""Simulated STAT/VSTAT oracles and a small library of distinguishers.
+"""Simulated STAT(tau) oracles and a small library of distinguishers.
 
-Honest oracles answer with empirical means over fresh samples sized so the
-answer lands within the advertised tolerance with probability >= 0.95.
-Adversarial oracles compute the true expectation (closed form for monomial
-queries via Wick pairings; for one-dimensional projection queries, the
-truncated Mehler series of the projected density, or quadrature of the exact
-density where the series would need too many terms; a deterministic
-label-keyed sampling fallback otherwise) and round it toward the
-corresponding N(0, I) expectation as far as the tolerance budget allows.
+An oracle answers the two registered query forms, ProjectionQuery and
+MonomialQuery, with range [-1, 1]; any other query is rejected before it is
+logged.  Honest oracles answer with empirical means over fresh samples sized
+so the answer lands within tau with probability >= 0.95.  Adversarial
+oracles compute the true expectation (closed form for monomial queries via
+Wick pairings; for projection queries, the truncated Mehler series of the
+projected density, or quadrature of the exact density where the series
+would need too many terms) and round it toward the corresponding N(0, I)
+expectation as far as tau allows.
 A series answer is the dot product sum_k (c s)^k a_k q_k of the marginal's
 Hermite spectrum with the query function's Hermite projections
 q_k = E_N[q h_k], tabulated by vector-valued integrals once per function
@@ -26,7 +27,6 @@ labelled cheat, to show the planted law is genuinely far from Gaussian.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import time
@@ -61,7 +61,6 @@ __all__ = [
     "Algorithm",
     "DistinguisherResult",
     "stat_query",
-    "vstat_query",
     "build_algorithm",
     "answer_sequence",
     "run_distinguisher",
@@ -157,13 +156,6 @@ class PlantedTarget:
         return self.hidden.d
 
 
-def _label_rng(label: str) -> np.random.Generator:
-    """Generator keyed only by the query label, so fallback estimates agree
-    across oracles regardless of their seeds."""
-    digest = hashlib.blake2b(label.encode(), digest_size=8).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
-
-
 def _gaussian_expectation(fn, jumps, tol_abs: float = 1e-11) -> Estimate:
     breaks = feature_breakpoints(-10.0, 10.0, [0.0], 1.0, jumps=jumps)
     return Estimate(
@@ -171,22 +163,22 @@ def _gaussian_expectation(fn, jumps, tol_abs: float = 1e-11) -> Estimate:
     )
 
 
-# query.fn -> {(lo, hi, squared): [(q block, error), ...]}
+# query.fn -> [(q block, error), ...]
 _PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _hermite_projections(
-    query, clipped_fn, variant, terms: int
+    query, clipped_fn, terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """q_k = E_N[clipped_fn(t) h_k(t)] for k <= terms, with each row's error.
 
     Rows are integrated PROJECTION_BLOCK at a time, each block one
-    vector-valued integral made once per query function and clip variant
-    and kept while the function lives.  A row's value thus never depends on
-    which queries came before, and an integrand call holds one block.
+    vector-valued integral made once per query function and kept while the
+    function lives.  A row's value thus never depends on which queries came
+    before, and an integrand call holds one block.
     """
     try:
-        blocks = _PROJECTIONS.setdefault(query.fn, {}).setdefault(variant, [])
+        blocks = _PROJECTIONS.setdefault(query.fn, [])
     except TypeError:  # fn takes no weak reference (a ufunc, say)
         blocks = []
     while len(blocks) * PROJECTION_BLOCK <= terms:
@@ -295,16 +287,11 @@ def _union_interval_mass(points: np.ndarray, window: float) -> float:
     return sum(gaussian_interval_mass(lo, hi) for lo, hi in merged)
 
 
-def _label(query) -> str:
-    label = getattr(query, "label", None)
-    return repr(query) if label is None else label
-
-
 @dataclass
 class QueryLogEntry:
     """One answer.  path is "sampled" (honest) or how the adversarial
-    target expectation was computed: "series", "quadrature", "closed-form"
-    or "fallback".  error is that expectation's absolute error estimate:
+    target expectation was computed: "series", "quadrature" or
+    "closed-form".  error is that expectation's absolute error estimate:
     the integrator's, plus SERIES_TAIL on the series path; 0 for a closed
     form and NaN where it was sampled."""
 
@@ -318,40 +305,30 @@ class QueryLogEntry:
 
 
 class SqOracle:
-    """STAT(tau) / VSTAT(t) oracle over a planted or null target.
+    """STAT(tau) oracle over a planted or null target.
 
-    mode 'honest' answers from fresh samples; mode 'adversarial' answers the
-    value inside the tolerance interval closest to the N(0, I) expectation.
-    Query outputs are clamped to the contractual range, counting violations.
+    It answers ProjectionQuery and MonomialQuery only, and raises
+    ValidationError on any other query before logging it.  mode 'honest'
+    answers from fresh samples; mode 'adversarial' answers the value within
+    tau of the target expectation closest to the N(0, I) expectation.
+    Query outputs are clamped to [-1, 1], counting violations.
     """
 
     def __init__(
-        self,
-        target: NullTarget | PlantedTarget,
-        mode: str,
-        tau: float | None = None,
-        t: float | None = None,
-        seed: int = 0,
-        fallback_samples: int = 0,
+        self, target: NullTarget | PlantedTarget, mode: str, tau: float, seed: int = 0
     ):
         if mode not in ("honest", "adversarial"):
             raise ValidationError(f"unknown oracle mode {mode!r}")
-        if (tau is None) == (t is None):
-            raise ValidationError("specify exactly one of tau (STAT) or t (VSTAT)")
-        if tau is not None and not 0.0 < tau < 1.0:
+        if not 0.0 < tau < 1.0:
             raise ValidationError("tau must lie in (0,1)")
-        if t is not None and t < 1.0:
-            raise ValidationError("t must be >= 1")
         self._target = target
         self.mode = mode
         self.tau = tau
-        self.t = t
         self.seed = seed
-        self.fallback_samples = fallback_samples
         self._rng = rng_stream(seed, STREAM_ORACLE)
         self.query_log: list[QueryLogEntry] = []
         self.range_violations = 0
-        self._gaussian_expectations: dict[tuple, float] = {}
+        self._gaussian_expectations: dict[Callable, Estimate] = {}
 
     @property
     def d(self) -> int:
@@ -360,10 +337,6 @@ class SqOracle:
     @property
     def query_count(self) -> int:
         return len(self.query_log)
-
-    @property
-    def is_vstat(self) -> bool:
-        return self.t is not None
 
     # -- sampling paths ------------------------------------------------
 
@@ -390,63 +363,39 @@ class SqOracle:
         u = g_s - np.outer(g_s @ v_s + eta * w_c, v_s)
         return u + np.outer(s, v_s)
 
-    @staticmethod
-    def _sample_full(target, rng, n: int) -> np.ndarray:
-        if isinstance(target, NullTarget):
-            return rng.standard_normal((n, target.d))
-        hidden = target.hidden
-        s = hidden.marginal.draw(rng, n)
-        return hidden.embed(s, rng.standard_normal((n, hidden.d)))
-
-    @property
-    def _range(self) -> tuple[float, float]:
-        return (0.0, 1.0) if self.is_vstat else (-1.0, 1.0)
-
-    def _apply_query(self, query, samples_or_proj) -> np.ndarray:
-        lo, hi = self._range
+    def _honest_values(self, query, n: int) -> np.ndarray:
+        """n fresh query values under the target, clamped to [-1, 1]."""
         if isinstance(query, ProjectionQuery):
-            vals = np.asarray(query.fn(samples_or_proj), dtype=float)
-        elif isinstance(query, MonomialQuery):
-            # The columns' powers multiplied left to right, as np.prod does.
-            vals = _int_power(samples_or_proj[:, 0], query.powers[0])
-            for i, p in enumerate(query.powers[1:], 1):
-                vals = vals * _int_power(samples_or_proj[:, i], p)
-            vals = vals / query.clip_scale
+            proj = self._sample_projection(query, self._target, self._rng, n)
+            vals = np.asarray(query.fn(proj), dtype=float)
         else:
-            vals = np.asarray(query(samples_or_proj), dtype=float)
-        clipped = np.clip(vals, lo, hi)
+            coords = self._sample_monomial_coords(query, self._target, self._rng, n)
+            # The columns' powers multiplied left to right, as np.prod does.
+            vals = _int_power(coords[:, 0], query.powers[0])
+            for i, p in enumerate(query.powers[1:], 1):
+                vals = vals * _int_power(coords[:, i], p)
+            vals = vals / query.clip_scale
+        clipped = np.clip(vals, -1.0, 1.0)
         if np.any(clipped != vals):
             self.range_violations += 1
         return clipped
 
-    def _honest_values(self, query, target, rng, n: int) -> np.ndarray:
-        if isinstance(query, ProjectionQuery):
-            return self._apply_query(query, self._sample_projection(query, target, rng, n))
-        if isinstance(query, MonomialQuery):
-            return self._apply_query(query, self._sample_monomial_coords(query, target, rng, n))
-        return self._apply_query(query, self._sample_full(target, rng, n))
-
     # -- exact expectation paths -----------------------------------------
 
-    def _true_expectation(
-        self, query, target, squared: bool = False
-    ) -> tuple[Estimate, str]:
-        """The query's (or its square's) expectation under target, with its
-        error estimate, and the path that computed it."""
-        lo, hi = self._range
+    def _true_expectation(self, query, target) -> tuple[Estimate, str]:
+        """The query's expectation under target, with its error estimate,
+        and the path that computed it."""
         if isinstance(query, ProjectionQuery):
 
             def clipped_fn(tvals):
-                out = np.clip(np.asarray(query.fn(tvals), dtype=float), lo, hi)
-                return out * out if squared else out
+                return np.clip(np.asarray(query.fn(tvals), dtype=float), -1.0, 1.0)
 
             if isinstance(target, NullTarget):
-                key = (query.fn, squared)
-                if key not in self._gaussian_expectations:
-                    self._gaussian_expectations[key] = _gaussian_expectation(
+                if query.fn not in self._gaussian_expectations:
+                    self._gaussian_expectations[query.fn] = _gaussian_expectation(
                         clipped_fn, query.jumps
                     )
-                return self._gaussian_expectations[key], "quadrature"
+                return self._gaussian_expectations[query.fn], "quadrature"
             marginal = target.hidden.marginal
             cosine = float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
             rho = abs(cosine) * marginal.scale
@@ -459,9 +408,7 @@ class SqOracle:
                 if terms <= SERIES_MAX_TERMS:
                     # By the Mehler identity the projected density is
                     # phi(t) sum_k (cosine scale)^k a_k h_k(t).
-                    table, table_err = _hermite_projections(
-                        query, clipped_fn, (lo, hi, squared), terms
-                    )
+                    table, table_err = _hermite_projections(query, clipped_fn, terms)
                     coeffs = marginal.hermite_spectrum(terms) * (
                         cosine * marginal.scale
                     ) ** np.arange(terms + 1)
@@ -471,77 +418,41 @@ class SqOracle:
             law = marginal.projected(cosine)
             return law.expectation(clipped_fn, jumps=query.jumps), "quadrature"
 
-        if isinstance(query, MonomialQuery):
-            if self.is_vstat:
-                raise ValidationError(
-                    "adversarial VSTAT has no exact path for monomial queries; "
-                    "rescale to [0,1] as a projection query or use the fallback"
-                )
-            eff = (
-                MonomialQuery(
-                    indices=query.indices,
-                    powers=tuple(2 * p for p in query.powers),
-                    label=query.label + "^2",
-                )
-                if squared
-                else query
-            )
-            scale = query.clip_scale**2 if squared else query.clip_scale
-            if isinstance(target, NullTarget):
-                moment = _null_monomial_moment(eff)
-            else:
-                moment = _planted_monomial_moment(target, eff)
-            return Estimate(moment / scale, 0.0), "closed-form"
-
-        if self.fallback_samples > 0:
-            rng = _label_rng(_label(query) + (":sq" if squared else ""))
-            vals = self._honest_values(query, target, rng, self.fallback_samples)
-            if squared:
-                vals = vals * vals
-            return Estimate(float(np.mean(vals)), math.nan), "fallback"
-        raise ValidationError(
-            "adversarial mode needs a registered query form or a fallback budget"
-        )
+        if isinstance(target, NullTarget):
+            moment = _null_monomial_moment(query)
+        else:
+            moment = _planted_monomial_moment(target, query)
+        return Estimate(moment / query.clip_scale, 0.0), "closed-form"
 
     # -- oracle contract ---------------------------------------------------
 
     def _answer(self, query) -> float:
+        if not isinstance(query, (ProjectionQuery, MonomialQuery)):
+            raise ValidationError(
+                "a STAT oracle answers ProjectionQuery and MonomialQuery only, "
+                f"not {type(query).__name__}"
+            )
         start = time.perf_counter()
+        tol = self.tau
         if self.mode == "honest":
             path, error = "sampled", math.nan
-            if self.is_vstat:
-                n = max(int(math.ceil(4.0 * self.t)), 2)
-                vals = self._honest_values(query, self._target, self._rng, n)
-                answer = float(np.mean(vals))
-                var = float(np.var(vals, ddof=1))
-                tol = max(1.0 / self.t, math.sqrt(max(var, 0.0) / self.t))
-            else:
-                n = int(math.ceil(4.0 / (self.tau * self.tau)))
-                vals = self._honest_values(query, self._target, self._rng, n)
-                answer = float(np.mean(vals))
-                tol = self.tau
+            n = int(math.ceil(4.0 / (tol * tol)))
+            answer = float(np.mean(self._honest_values(query, n)))
         else:
-            lo, hi = self._range
-            # The expectation of a range-clamped query provably lies in the
-            # range; clipping removes quadrature round-off overshoot.
+            # The expectation of a range-clamped query provably lies in
+            # [-1, 1]; clipping removes quadrature round-off overshoot.
             e_target, path = self._true_expectation(query, self._target)
             error = e_target.error
-            e_target = min(max(e_target, lo), hi)
-            if self.is_vstat:
-                e_sq, _ = self._true_expectation(query, self._target, squared=True)
-                var = max(e_sq - e_target * e_target, 0.0)
-                tol = max(1.0 / self.t, math.sqrt(var / self.t))
-            else:
-                tol = self.tau
+            e_target = min(max(e_target, -1.0), 1.0)
             if isinstance(self._target, NullTarget):
                 e_null = e_target
             else:
                 e_null, _ = self._true_expectation(query, NullTarget(self.d))
-                e_null = min(max(e_null, lo), hi)
+                e_null = min(max(e_null, -1.0), 1.0)
             answer = float(min(max(e_null, e_target - tol), e_target + tol))
         self.query_log.append(
             QueryLogEntry(
-                label=_label(query),
+                label=query.label,
                 mode=self.mode,
                 answer=answer,
                 tolerance=tol,
@@ -552,25 +463,10 @@ class SqOracle:
         )
         return answer
 
-    def stat(self, query) -> float:
-        if self.is_vstat:
-            raise ValidationError("this oracle was configured as VSTAT")
-        return self._answer(query)
-
-    def vstat(self, query) -> float:
-        if not self.is_vstat:
-            raise ValidationError("this oracle was configured as STAT")
-        return self._answer(query)
-
 
 def stat_query(oracle: SqOracle, query) -> float:
-    """Answer a [-1,1]-valued query through a STAT(tau) oracle."""
-    return oracle.stat(query)
-
-
-def vstat_query(oracle: SqOracle, query) -> float:
-    """Answer a [0,1]-valued query through a VSTAT(t) oracle."""
-    return oracle.vstat(query)
+    """Answer a registered [-1, 1]-valued query through a STAT(tau) oracle."""
+    return oracle._answer(query)
 
 
 # -- distinguishers ---------------------------------------------------------
@@ -697,8 +593,7 @@ def build_algorithm(
 
 def answer_sequence(oracle: SqOracle, algorithm: Algorithm) -> list[float]:
     """All oracle answers for the algorithm's query sequence, in order."""
-    ask = vstat_query if oracle.is_vstat else stat_query
-    return [ask(oracle, q) for q in algorithm.queries]
+    return [stat_query(oracle, q) for q in algorithm.queries]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
-"""The public API: every exported callable's annotations resolve."""
+"""The public API: every exported callable's annotations resolve, and every
+name a module lists in __all__ exists."""
 
+import importlib
 import inspect
+import pkgutil
 import typing
 
 import pytest
 
 import momentforge
 
+MODULES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(momentforge.__path__)
+    if info.name != "__main__"
+)
 EXPORTED = sorted(
     name
     for name, obj in vars(momentforge).items()
@@ -21,3 +29,10 @@ def test_annotations_resolve(name):
     if inspect.isclass(obj):
         for _, method in inspect.getmembers(obj, inspect.isfunction):
             typing.get_type_hints(method)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"momentforge.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
