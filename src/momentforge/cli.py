@@ -11,17 +11,24 @@ Exit codes: 0 success, 2 validation failure, 3 numeric guard, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 
 import numpy as np
 
 from .bumps import layout
 from .distributions import (
+    STREAM_DIRECTION,
+    STREAM_TRIAL_DIRECTION,
     HiddenDirectionDist,
     PushforwardDist,
+    hidden_blocks,
+    latent_blocks,
+    null_blocks,
     rng_stream,
-    sample_null,
+    sample_null,  # noqa: F401  (bench/tracer.py wraps cli.sample_null by name)
 )
 from .errors import NumericGuardError, ValidationError
 from .flow import EvolutionTrace, SlopeTarget, evolve
@@ -304,7 +311,7 @@ def _hidden_direction(d: int, direction: str, seed: int) -> np.ndarray:
         v = np.zeros(d)
         v[0] = 1.0
         return v
-    v = rng_stream(seed, 0x45).standard_normal(d)
+    v = rng_stream(seed, STREAM_DIRECTION).standard_normal(d)
     return v / np.linalg.norm(v)
 
 
@@ -324,14 +331,38 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _write_samples(samples: np.ndarray, path: str, fmt: str) -> None:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if fmt == "csv":
-        np.savetxt(path, samples, delimiter=",", fmt="%.17g")
-    elif fmt == "f64":
-        samples.astype("<f8").tofile(path)
-    else:
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A binary handle whose bytes replace the file at path only once the
+    block completes; on failure path is left as it was.  A device or pipe
+    has nothing to keep and is written directly; a symlink is followed."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.part")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_samples(blocks, path: str, fmt: str) -> None:
+    """Write sample blocks one after another to path, in the given format."""
+    if fmt not in ("csv", "f64"):
         raise ValidationError(f"unknown sample format {fmt!r}")
+    with _replacing(path) as fh:
+        for block in blocks:
+            if fmt == "csv":
+                np.savetxt(fh, block, delimiter=",", fmt="%.17g")
+            else:
+                fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
 def cmd_sample(args) -> int:
@@ -343,12 +374,14 @@ def cmd_sample(args) -> int:
         if args.d is None:
             raise ValidationError("null sampling needs --d")
         _check_dimension(args.d)
-        samples = sample_null(args.d, args.n, args.seed)
+        blocks = null_blocks(args.d, args.n, args.seed)
     elif kind == "lifted":
         net = network_from_payload(data)
-        rng = rng_stream(args.seed, 0x5A)
-        z = rng.standard_normal((args.n, net.d + 1))
-        samples = net.eval(z)
+        if args.d is not None and args.d != net.d:
+            raise ValidationError(
+                f"--d {args.d} does not match the network's d = {net.d}"
+            )
+        blocks = map(net.eval, latent_blocks(net.d + 1, args.n, args.seed))
     elif kind == "instance":
         _, _, evolved, _ = _load_build(args.file)
         if args.d is None:
@@ -356,10 +389,10 @@ def cmd_sample(args) -> int:
         dist = PushforwardDist.from_instance(evolved, args.sigma)
         v = _hidden_direction(args.d, args.direction, args.seed)
         hd = HiddenDirectionDist(d=args.d, v=v, marginal=dist)
-        samples = hd.sample(args.n, args.seed)
+        blocks = hidden_blocks(hd, args.n, args.seed)
     else:
         raise ValidationError(f"cannot sample from a {kind!r} file")
-    _write_samples(samples, args.out, args.format)
+    _write_samples(blocks, args.out, args.format)
     print(f"wrote {args.n} samples to {args.out} ({args.format})")
     return EXIT_OK
 
@@ -370,7 +403,7 @@ def cmd_distinguish(args) -> int:
     marginal = PushforwardDist.from_instance(evolved, args.sigma)
 
     def factory(kind: str, trial: int):
-        rng = rng_stream(args.seed + trial, 0x46)
+        rng = rng_stream(args.seed + trial, STREAM_TRIAL_DIRECTION)
         v = rng.standard_normal(args.d)
         v /= np.linalg.norm(v)
         hidden = HiddenDirectionDist(d=args.d, v=v, marginal=marginal)

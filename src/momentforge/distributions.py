@@ -12,12 +12,15 @@ family with a smaller coefficient and a fatter noise width.
 
 Sampling uses counter-based Philox streams keyed by (seed, stream id), so
 every operation draws from its own reproducible stream regardless of what
-ran before it.
+ran before it.  The d-dimensional samplers also come as block streams
+(hidden_blocks, null_blocks, latent_blocks), which yield the one-shot
+sample a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,9 @@ __all__ = [
     "density",
     "sample_hidden",
     "sample_null",
+    "hidden_blocks",
+    "null_blocks",
+    "latent_blocks",
     "generate_directions",
     "hidden_projection",
     "rng_stream",
@@ -59,6 +65,13 @@ STREAM_NULL = 3
 STREAM_DIRECTIONS = 4
 STREAM_SUPPORT = 5
 STREAM_ORACLE = 6
+STREAM_DIRECTION = 0x45  # a seeded random hidden direction
+STREAM_TRIAL_DIRECTION = 0x46  # a distinguisher trial's hidden direction
+STREAM_LATENT = 0x5A  # the latent inputs z of a lifted network
+
+# Values per block, at most, when samples are drawn a block of rows at a
+# time; the last block also takes the remainder.
+SAMPLE_BLOCK = 1 << 20
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -394,21 +407,67 @@ def density(dist: PushforwardDist, x):
     return dist.density(x)
 
 
+def _gaussian_blocks(
+    seed: int, stream: int, n: int, width: int, rows: int | None
+) -> Iterator[np.ndarray]:
+    """An (n, width) standard normal draw from stream (seed, stream) in blocks
+    of `rows` rows, the last block taking the remainder.
+
+    A Philox stream is consumed in row order, so the blocks stack to the
+    one-shot draw whatever `rows` is.  The default rows also keep products
+    of the blocks bit-identical to products of the one-shot draw under
+    single-threaded BLAS, which rounds the rows past the last multiple of
+    its row unroll, and calls under a size threshold, by other kernels: a
+    default block holds a power of two rows (at most SAMPLE_BLOCK values,
+    at least one row), and the last block is never the shorter one.
+    """
+    if width < 1 or n < 1:
+        raise ValidationError("dimension and sample count must be >= 1")
+    if rows is None:
+        rows = 1 << max((SAMPLE_BLOCK // width).bit_length() - 1, 0)
+    rng = rng_stream(seed, stream)
+    start = 0
+    while start < n:
+        size = n - start if n - start < 2 * rows else rows
+        yield rng.standard_normal((size, width))
+        start += size
+
+
+def hidden_blocks(
+    hd: HiddenDirectionDist, n: int, seed: int, rows: int | None = None
+) -> Iterator[np.ndarray]:
+    """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d), in
+    blocks of rows.  The n marginal draws s come first and whole (g1, then
+    g2), then g block by block from its own stream, each block embedded with
+    its slice of s."""
+    s = hd.marginal.sample(n, seed, stream=STREAM_HIDDEN)
+    start = 0
+    for g in _gaussian_blocks(seed, STREAM_HIDDEN + 0x100, n, hd.d, rows):
+        yield hd.embed(s[start : start + len(g)], g)
+        start += len(g)
+
+
+def null_blocks(d: int, n: int, seed: int, rows: int | None = None) -> Iterator[np.ndarray]:
+    """n standard Gaussian vectors in R^d in blocks of rows."""
+    return _gaussian_blocks(seed, STREAM_NULL, n, d, rows)
+
+
+def latent_blocks(
+    width: int, n: int, seed: int, rows: int | None = None
+) -> Iterator[np.ndarray]:
+    """n standard Gaussian inputs of a generator with `width` inputs (d + 1
+    for a lifted network) in blocks of rows."""
+    return _gaussian_blocks(seed, STREAM_LATENT, n, width, rows)
+
+
 def sample_hidden(hd: HiddenDirectionDist, n: int, seed: int) -> np.ndarray:
     """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d)."""
-    if n < 1:
-        raise ValidationError("sample count must be >= 1")
-    s = hd.marginal.sample(n, seed, stream=STREAM_HIDDEN)
-    rng = rng_stream(seed, STREAM_HIDDEN + 0x100)
-    return hd.embed(s, rng.standard_normal((n, hd.d)))
+    return next(hidden_blocks(hd, n, seed, rows=n))
 
 
 def sample_null(d: int, n: int, seed: int) -> np.ndarray:
     """n standard Gaussian vectors in R^d, deterministic given seed."""
-    if d < 1 or n < 1:
-        raise ValidationError("dimension and sample count must be >= 1")
-    rng = rng_stream(seed, STREAM_NULL)
-    return rng.standard_normal((n, d))
+    return next(null_blocks(d, n, seed, rows=n))
 
 
 def generate_directions(

@@ -224,7 +224,8 @@ class LiftedNetwork:
         fstar = _forward(self.inner.units, self.inner.linear, batch[:, :2])
         stacked = np.concatenate([fstar[:, None], batch[:, 2:]], axis=1)
         out = stacked @ self.rotation.T
-        out = out[:, list(self.output_rows)]
+        if self.output_rows != tuple(range(self.d)):
+            out = out[:, list(self.output_rows)]
         return out[0] if z.ndim == 1 else out
 
 

@@ -1,20 +1,37 @@
 """End-to-end command-line runs: files, determinism, exit codes."""
 
+import errno
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from momentforge import QuadratureError
+import momentforge
+from momentforge import (
+    HiddenDirectionDist,
+    PushforwardDist,
+    QuadratureError,
+    sample_hidden,
+    sample_null,
+)
+from momentforge import distributions
 from momentforge import verify as verify_module
 from momentforge.cli import (
+    _hidden_direction,
     _trace_from_payload,
     _trace_payload,
     main,
     network_from_payload,
 )
+from momentforge.distributions import STREAM_LATENT, rng_stream
 from momentforge.serialize import (
     instance_from_payload,
     load_json,
@@ -279,6 +296,217 @@ class TestExportAndSample:
         assert main(["sample", str(built_m5), *args]) == 2
         assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
         assert not out.exists()
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def check_default_blocks_at_d50(built: str, workdir: str) -> None:
+    """Two default blocks of 2**14 rows, the second taking one more row, at
+    the benchmark's d = 50: the file is the one-shot draw byte for byte."""
+    d, n, seed, sigma = 50, 2 * 2**14 + 1, 5, 0.05
+    evolved = instance_from_payload(load_json(built)["evolved"])
+    marginal = PushforwardDist.from_instance(evolved, sigma)
+    out = os.path.join(workdir, "samples.f64")
+    cases = [("lifted", "e1"), ("lifted", "random"), ("planted", "random"), ("null", "e1")]
+    for kind, direction in cases:
+        args = ["--d", str(d), "--direction", direction, "--seed", str(seed)]
+        if kind == "lifted":
+            net = os.path.join(workdir, f"net-{direction}.json")
+            assert main(["export", built, *args, "--out", net]) == 0
+            z = rng_stream(seed, STREAM_LATENT).standard_normal((n, d + 1))
+            want = network_from_payload(load_json(net)).eval(z)
+            argv = ["sample", net]
+        elif kind == "null":
+            want = sample_null(d, n, seed)
+            argv = ["sample", built, "--kind", "null", "--d", str(d)]
+        else:
+            v = _hidden_direction(d, direction, seed)
+            hd = HiddenDirectionDist(d=d, v=v, marginal=marginal)
+            want = sample_hidden(hd, n, seed)
+            argv = ["sample", built, "--kind", "planted", *args[:4]]
+        argv += ["--n", str(n), "--seed", str(seed), "--format", "f64", "--out", out]
+        assert main(argv) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == want.astype("<f8").tobytes(), (kind, direction)
+
+
+class TestSampleStream:
+    """`sample` writes block by block; the file is the one-shot draw byte for
+    byte, and a failed run leaves --out as it was."""
+
+    D = 6
+    SEED = 5
+    SIGMA = 0.05
+    # A small block: 2**3 rows of D or D + 1 values, so that a few dozen
+    # rows span several blocks.
+    BLOCK_VALUES = 64
+    ROWS = 8
+    CASES = [
+        ("lifted", "e1"),
+        ("lifted", "random"),
+        ("planted", "e1"),
+        ("planted", "random"),
+        ("null", "e1"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def nets(self, built_m5, tmp_path_factory):
+        paths = {}
+        for direction in ("e1", "random"):
+            path = tmp_path_factory.mktemp("stream") / f"net-{direction}.json"
+            args = ["--d", str(self.D), "--direction", direction, "--seed", str(self.SEED)]
+            assert main(["export", str(built_m5), *args, "--out", str(path)]) == 0
+            paths[direction] = path
+        return paths
+
+    def argv(self, kind, direction, nets, built_m5):
+        if kind == "lifted":
+            return ["sample", str(nets[direction])]
+        return ["sample", str(built_m5), "--kind", kind, "--d", str(self.D),
+                "--direction", direction, "--sigma", str(self.SIGMA)]
+
+    def reference(self, kind, direction, n, nets, built_m5):
+        """The same samples drawn and mapped in one shot."""
+        if kind == "lifted":
+            net = network_from_payload(load_json(nets[direction]))
+            z = rng_stream(self.SEED, STREAM_LATENT).standard_normal((n, self.D + 1))
+            return net.eval(z)
+        if kind == "null":
+            return sample_null(self.D, n, self.SEED)
+        evolved = instance_from_payload(load_json(built_m5)["evolved"])
+        marginal = PushforwardDist.from_instance(evolved, self.SIGMA)
+        v = _hidden_direction(self.D, direction, self.SEED)
+        hd = HiddenDirectionDist(d=self.D, v=v, marginal=marginal)
+        return sample_hidden(hd, n, self.SEED)
+
+    def reference_bytes(self, samples, fmt, tmp_path):
+        if fmt == "f64":
+            return samples.astype("<f8").tobytes()
+        path = tmp_path / "reference.csv"
+        np.savetxt(path, samples, delimiter=",", fmt="%.17g")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "f64"])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 2)]
+    )
+    @pytest.mark.parametrize("kind, direction", CASES)
+    def test_streamed_file_is_one_shot_draw(
+        self, nets, built_m5, tmp_path, monkeypatch, kind, direction, blocks, extra, fmt
+    ):
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
+        n = blocks * self.ROWS + extra
+        out = tmp_path / f"samples.{fmt}"
+        argv = self.argv(kind, direction, nets, built_m5)
+        args = ["--n", str(n), "--seed", str(self.SEED), "--format", fmt]
+        assert main([*argv, *args, "--out", str(out)]) == 0
+        want = self.reference(kind, direction, n, nets, built_m5)
+        assert out.read_bytes() == self.reference_bytes(want, fmt, tmp_path)
+
+    def test_default_blocks_at_d50(self, built_m5, tmp_path):
+        # Under more than one BLAS thread a product splits its rows between
+        # threads at points set by its size, so a one-shot product and the
+        # same rows in blocks can round apart in the last bit (the one-shot
+        # output itself then varies with the thread count).  The comparison
+        # runs under single-threaded BLAS, as the benchmark does.
+        env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
+        paths = [
+            os.path.dirname(__file__),
+            os.path.dirname(os.path.dirname(momentforge.__file__)),
+            env.get("PYTHONPATH", ""),
+        ]
+        env["PYTHONPATH"] = os.pathsep.join(paths)
+        call = f"check_default_blocks_at_d50({str(built_m5)!r}, {str(tmp_path)!r})"
+        done = subprocess.run(
+            [sys.executable, "-c", f"import test_cli; test_cli.{call}"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize("fmt", ["csv", "f64"])
+    @pytest.mark.parametrize("kind", ["lifted", "planted", "null"])
+    def test_failed_sample_leaves_out_as_it_was(
+        self, nets, built_m5, tmp_path, monkeypatch, kind, fmt, existing
+    ):
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
+        real_blocks = distributions._gaussian_blocks
+
+        def second_block_fails(*args):
+            blocks = real_blocks(*args)
+            yield next(blocks)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(distributions, "_gaussian_blocks", second_block_fails)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        out = workdir / f"samples.{fmt}"
+        if existing:
+            out.write_bytes(b"earlier samples\n")
+        argv = self.argv(kind, "e1", nets, built_m5)
+        n = 3 * self.ROWS
+        assert main([*argv, "--n", str(n), "--format", fmt, "--out", str(out)]) == 4
+        if existing:
+            assert out.read_bytes() == b"earlier samples\n"
+        assert sorted(os.listdir(workdir)) == (["samples." + fmt] if existing else [])
+
+    def test_d_must_match_network(self, nets, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        code = main(["sample", str(nets["e1"]), "--d", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--d 4" in err and f"d = {self.D}" in err
+        assert not out.exists()
+        args = ["--d", str(self.D), "--n", "3", "--out", str(out)]
+        assert main(["sample", str(nets["e1"]), *args]) == 0
+
+    def test_pipe_is_written_directly(self, nets, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = {}
+        reader = threading.Thread(
+            target=lambda: got.update(data=pipe.read_bytes()), daemon=True
+        )
+        reader.start()
+        args = ["--n", "5", "--seed", str(self.SEED), "--format", "f64"]
+        assert main(["sample", str(nets["e1"]), *args, "--out", str(pipe)]) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        want = self.reference("lifted", "e1", 5, nets, None)
+        assert got["data"] == self.reference_bytes(want, "f64", tmp_path)
+
+    def test_symlink_is_followed(self, nets, tmp_path):
+        target = tmp_path / "target.f64"
+        target.write_bytes(b"earlier samples\n")
+        link = tmp_path / "link.f64"
+        link.symlink_to(target)
+        args = ["--n", "5", "--seed", str(self.SEED), "--format", "f64"]
+        assert main(["sample", str(nets["e1"]), *args, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        want = self.reference("lifted", "e1", 5, nets, None)
+        assert target.read_bytes() == self.reference_bytes(want, "f64", tmp_path)
+
+    @pytest.mark.parametrize("kind", ["lifted", "planted", "null"])
+    def test_peak_memory_is_below_half_the_output(self, built_m5, tmp_path, kind):
+        n, d = 200_000, 50
+        if kind == "lifted":
+            net = tmp_path / "net50.json"
+            assert main(["export", str(built_m5), "--d", str(d), "--out", str(net)]) == 0
+            argv = ["sample", str(net)]
+        else:
+            argv = ["sample", str(built_m5), "--kind", kind, "--d", str(d)]
+        argv += ["--n", str(n), "--format", "f64", "--out", str(tmp_path / "s.f64")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "s.f64").stat().st_size == n * d * 8
+        assert peak < 0.5 * n * d * 8
 
 
 class TestDistinguish:

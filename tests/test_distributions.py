@@ -23,6 +23,16 @@ from momentforge import (
     sample_marginal,
     sample_null,
 )
+from momentforge.distributions import (
+    SAMPLE_BLOCK,
+    STREAM_HIDDEN,
+    STREAM_LATENT,
+    STREAM_NULL,
+    hidden_blocks,
+    latent_blocks,
+    null_blocks,
+    rng_stream,
+)
 from momentforge.integrate import feature_breakpoints, panel_integrate_1d
 
 KS_C_001 = 1.628
@@ -319,6 +329,58 @@ class TestSampleNull:
 
     def test_deterministic(self):
         assert np.array_equal(sample_null(5, 100, seed=1), sample_null(5, 100, seed=1))
+
+
+class TestSampleBlocks:
+    """Block streams stack to the one-shot draw."""
+
+    N = 100
+
+    @pytest.mark.parametrize("rows", [4, 16, 32, 128])
+    def test_hidden_blocks_stack_to_one_shot(self, dist5, rng, rows):
+        d, seed = 6, 12
+        v = rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        hd = HiddenDirectionDist(d=d, v=v, marginal=dist5)
+        # The layout: all n marginal draws (g1 then g2) from one stream, then
+        # the (n, d) Gaussian rows from another.
+        s = dist5.draw(rng_stream(seed, STREAM_HIDDEN), self.N)
+        g = rng_stream(seed, STREAM_HIDDEN + 0x100).standard_normal((self.N, d))
+        want = hd.embed(s, g)
+        blocks = list(hidden_blocks(hd, self.N, seed, rows=rows))
+        assert np.array_equal(np.concatenate(blocks), want)
+        assert np.array_equal(sample_hidden(hd, self.N, seed), want)
+
+    @pytest.mark.parametrize("rows", [1, 7, N - 1, N, N + 1])
+    def test_gaussian_blocks_stack_to_one_shot(self, rows):
+        d, seed = 5, 13
+        null = rng_stream(seed, STREAM_NULL).standard_normal((self.N, d))
+        latent = rng_stream(seed, STREAM_LATENT).standard_normal((self.N, d))
+        got = np.concatenate(list(null_blocks(d, self.N, seed, rows=rows)))
+        assert np.array_equal(got, null)
+        assert np.array_equal(sample_null(d, self.N, seed), null)
+        got = np.concatenate(list(latent_blocks(d, self.N, seed, rows=rows)))
+        assert np.array_equal(got, latent)
+
+    @pytest.mark.parametrize(
+        "rows, sizes", [(16, [16] * 5 + [20]), (50, [50, 50]), (128, [100])]
+    )
+    def test_last_block_takes_the_remainder(self, rows, sizes):
+        assert [len(b) for b in null_blocks(3, self.N, seed=1, rows=rows)] == sizes
+
+    @pytest.mark.parametrize(
+        "d, rows", [(1, SAMPLE_BLOCK), (6, 2**17), (50, 2**14), (SAMPLE_BLOCK + 1, 1)]
+    )
+    def test_default_rows_are_a_power_of_two(self, d, rows):
+        # The largest power of two with rows * d <= SAMPLE_BLOCK, or one row;
+        # the last block takes the remainder.
+        sizes = [len(b) for b in null_blocks(d, 3 * rows - 1, seed=1)]
+        assert sizes == [rows, 2 * rows - 1]
+
+    @pytest.mark.parametrize("d, n", [(0, 5), (5, 0), (-1, 5)])
+    def test_empty_draws_rejected(self, d, n):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            sample_null(d, n, seed=1)
 
 
 class TestGenerateDirections:
