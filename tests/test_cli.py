@@ -301,32 +301,37 @@ class TestExportAndSample:
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def one_shot(kind, direction, n, d, seed, net, built, sigma=0.05):
+    """The samples `sample` writes, drawn and mapped in one shot; net is the
+    exported network for the lifted kind, built the instance file."""
+    if kind == "lifted":
+        z = rng_stream(seed, STREAM_LATENT).standard_normal((n, d + 1))
+        return network_from_payload(load_json(net)).eval(z)
+    if kind == "null":
+        return sample_null(d, n, seed)
+    evolved = instance_from_payload(load_json(built)["evolved"])
+    marginal = PushforwardDist.from_instance(evolved, sigma)
+    v = _hidden_direction(d, direction, seed)
+    return sample_hidden(HiddenDirectionDist(d=d, v=v, marginal=marginal), n, seed)
+
+
 def check_default_blocks_at_d50(built: str, workdir: str) -> None:
     """Two default blocks of 2**14 rows, the second taking one more row, at
     the benchmark's d = 50: the file is the one-shot draw byte for byte."""
-    d, n, seed, sigma = 50, 2 * 2**14 + 1, 5, 0.05
-    evolved = instance_from_payload(load_json(built)["evolved"])
-    marginal = PushforwardDist.from_instance(evolved, sigma)
+    d, n, seed = 50, 2 * 2**14 + 1, 5
     out = os.path.join(workdir, "samples.f64")
     cases = [("lifted", "e1"), ("lifted", "random"), ("planted", "random"), ("null", "e1")]
     for kind, direction in cases:
         args = ["--d", str(d), "--direction", direction, "--seed", str(seed)]
+        net = os.path.join(workdir, f"net-{direction}.json")
         if kind == "lifted":
-            net = os.path.join(workdir, f"net-{direction}.json")
             assert main(["export", built, *args, "--out", net]) == 0
-            z = rng_stream(seed, STREAM_LATENT).standard_normal((n, d + 1))
-            want = network_from_payload(load_json(net)).eval(z)
             argv = ["sample", net]
-        elif kind == "null":
-            want = sample_null(d, n, seed)
-            argv = ["sample", built, "--kind", "null", "--d", str(d)]
         else:
-            v = _hidden_direction(d, direction, seed)
-            hd = HiddenDirectionDist(d=d, v=v, marginal=marginal)
-            want = sample_hidden(hd, n, seed)
-            argv = ["sample", built, "--kind", "planted", *args[:4]]
+            argv = ["sample", built, "--kind", kind, *args[:4]]
         argv += ["--n", str(n), "--seed", str(seed), "--format", "f64", "--out", out]
         assert main(argv) == 0
+        want = one_shot(kind, direction, n, d, seed, net, built)
         with open(out, "rb") as fh:
             assert fh.read() == want.astype("<f8").tobytes(), (kind, direction)
 
@@ -367,18 +372,9 @@ class TestSampleStream:
                 "--direction", direction, "--sigma", str(self.SIGMA)]
 
     def reference(self, kind, direction, n, nets, built_m5):
-        """The same samples drawn and mapped in one shot."""
-        if kind == "lifted":
-            net = network_from_payload(load_json(nets[direction]))
-            z = rng_stream(self.SEED, STREAM_LATENT).standard_normal((n, self.D + 1))
-            return net.eval(z)
-        if kind == "null":
-            return sample_null(self.D, n, self.SEED)
-        evolved = instance_from_payload(load_json(built_m5)["evolved"])
-        marginal = PushforwardDist.from_instance(evolved, self.SIGMA)
-        v = _hidden_direction(self.D, direction, self.SEED)
-        hd = HiddenDirectionDist(d=self.D, v=v, marginal=marginal)
-        return sample_hidden(hd, n, self.SEED)
+        return one_shot(
+            kind, direction, n, self.D, self.SEED, nets[direction], built_m5, self.SIGMA
+        )
 
     def reference_bytes(self, samples, fmt, tmp_path):
         if fmt == "f64":
