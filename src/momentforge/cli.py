@@ -376,6 +376,12 @@ def cmd_sample(args) -> int:
         _check_dimension(args.d)
         blocks = null_blocks(args.d, args.n, args.seed)
     elif kind == "lifted":
+        for flag, value in (("--sigma", args.sigma), ("--direction", args.direction)):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} does not apply to a network file: "
+                    "the network fixes sigma and v"
+                )
         net = network_from_payload(data)
         if args.d is not None and args.d != net.d:
             raise ValidationError(
@@ -386,8 +392,9 @@ def cmd_sample(args) -> int:
         _, _, evolved, _ = _load_build(args.file)
         if args.d is None:
             raise ValidationError("planted sampling from an instance needs --d")
-        dist = PushforwardDist.from_instance(evolved, args.sigma)
-        v = _hidden_direction(args.d, args.direction, args.seed)
+        sigma = 0.05 if args.sigma is None else args.sigma
+        dist = PushforwardDist.from_instance(evolved, sigma)
+        v = _hidden_direction(args.d, args.direction or "e1", args.seed)
         hd = HiddenDirectionDist(d=args.d, v=v, marginal=dist)
         blocks = hidden_blocks(hd, args.n, args.seed)
     else:
@@ -512,8 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--n", type=int, default=1000)
     p_sample.add_argument("--kind", choices=("planted", "null"), default="planted")
     p_sample.add_argument("--d", type=int, default=None)
-    p_sample.add_argument("--sigma", type=float, default=0.05)
-    p_sample.add_argument("--direction", choices=("e1", "random"), default="e1")
+    p_sample.add_argument(
+        "--sigma", type=float, default=None, help="instance files only (default 0.05)"
+    )
+    p_sample.add_argument(
+        "--direction",
+        choices=("e1", "random"),
+        default=None,
+        help="instance files only (default e1)",
+    )
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--format", choices=("csv", "f64"), default="csv")
     p_sample.add_argument("--out", required=True)

@@ -12,12 +12,22 @@ expectation as far as tau allows.
 A series answer is the dot product sum_k (c s)^k a_k q_k of the marginal's
 Hermite spectrum with the query function's Hermite projections
 q_k = E_N[q h_k], tabulated by vector-valued integrals once per function
-object for the whole process.  Quadratures put panel breaks at the query's
-declared jump points.
+object for the whole process, as is each function's N(0,1) expectation.
+Quadratures put panel breaks at the query's declared jump points.  Those
+process-wide tables, like the marginal's kept moments and spectrum, have no
+lock, so adversarial oracles must not be answered from several threads at
+once.
 The rounding target is computed identically for planted and null targets,
 so any query whose two expectations differ by less than the tolerance
 receives the bitwise-identical answer under both -- the indistinguishability
 the construction promises for bounded-degree moment queries.
+
+run_distinguisher calls its oracle factory in trial order on the calling
+thread.  When every trial's oracle is honest it answers the trials
+concurrently, on up to one thread per CPU the process may use: each trial
+draws from its own oracle's counter-based stream and shares no mutable
+state, so the results do not depend on the worker count.  Adversarial
+trials are answered one after another on the calling thread.
 
 The hidden direction is never exposed through the oracle interface; the
 "oracle-v" baseline reads the trial's candidate direction deliberately, as a
@@ -29,8 +39,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,11 +101,11 @@ class ProjectionQuery:
     """Query f(x) = fn(<direction, x>) for a vectorized 1-D fn.
 
     fn must be a pure function: adversarial oracles keep its N(0,1)
-    expectation keyed by the function object, and its Hermite projections
-    in a table shared by every oracle of the process, keyed by the function
-    object (dropped with it).  jumps lists the points where fn is
-    discontinuous; quadratures break their panels there.  They belong to fn:
-    a table made for one query serves every query of the same fn.
+    expectation and its Hermite projections in tables shared by every
+    oracle of the process, keyed by the function object (dropped with it).
+    jumps lists the points where fn is discontinuous; quadratures break
+    their panels there.  They belong to fn: a table made for one query
+    serves every query of the same fn.
     """
 
     direction: np.ndarray
@@ -163,8 +175,23 @@ def _gaussian_expectation(fn, jumps, tol_abs: float = 1e-11) -> Estimate:
     )
 
 
+# query.fn -> Estimate of E_N[clip(fn)]
+_GAUSSIAN_EXPECTATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # query.fn -> [(q block, error), ...]
 _PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _null_projection_expectation(query, clipped_fn) -> Estimate:
+    """E_N[clipped_fn], integrated once per query function for the whole
+    process (per call for a function that takes no weak reference)."""
+    try:
+        estimate = _GAUSSIAN_EXPECTATIONS.get(query.fn)
+    except TypeError:  # fn takes no weak reference (a ufunc, say)
+        return _gaussian_expectation(clipped_fn, query.jumps)
+    if estimate is None:
+        estimate = _gaussian_expectation(clipped_fn, query.jumps)
+        _GAUSSIAN_EXPECTATIONS[query.fn] = estimate
+    return estimate
 
 
 def _hermite_projections(
@@ -328,7 +355,6 @@ class SqOracle:
         self._rng = rng_stream(seed, STREAM_ORACLE)
         self.query_log: list[QueryLogEntry] = []
         self.range_violations = 0
-        self._gaussian_expectations: dict[Callable, Estimate] = {}
 
     @property
     def d(self) -> int:
@@ -391,11 +417,7 @@ class SqOracle:
                 return np.clip(np.asarray(query.fn(tvals), dtype=float), -1.0, 1.0)
 
             if isinstance(target, NullTarget):
-                if query.fn not in self._gaussian_expectations:
-                    self._gaussian_expectations[query.fn] = _gaussian_expectation(
-                        clipped_fn, query.jumps
-                    )
-                return self._gaussian_expectations[query.fn], "quadrature"
+                return _null_projection_expectation(query, clipped_fn), "quadrature"
             marginal = target.hidden.marginal
             cosine = float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
             rho = abs(cosine) * marginal.scale
@@ -616,6 +638,14 @@ class DistinguisherResult:
             raise ValidationError("at least 30 trials are required to report advantage")
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_distinguisher(
     algo_id: str,
     oracle_factory: Callable[[str, int], tuple[SqOracle, HiddenDirectionDist]],
@@ -631,14 +661,21 @@ def run_distinguisher(
     planted or null per kind, together with the trial's candidate
     hidden-direction law (which only the cheating baseline may read).  The
     advantage is twice the success probability minus 1.
+
+    The factory is called for every trial first, in trial order on the
+    calling thread, and each trial's algorithm is built there too.  If every
+    oracle is honest, the trials are then answered concurrently on
+    min(trials, CPUs) threads; each draws only from its own oracle's stream,
+    so the results equal a serial run's.  Otherwise they are answered in
+    order on the calling thread, since adversarial oracles share
+    process-wide tables.  An error raised in a trial reaches the caller
+    unchanged, the earliest trial's first.
     """
     if trials < 30:
         raise ValidationError("need at least 30 trials")
-    truths = []
-    decisions = []
-    queries_used = 0
-    for trial in range(trials):
-        planted = trial % 2 == 0
+    truths = tuple(trial % 2 == 0 for trial in range(trials))
+    runs = []
+    for trial, planted in enumerate(truths):
         oracle, candidate = oracle_factory("planted" if planted else "null", trial)
         algorithm = build_algorithm(
             algo_id,
@@ -647,10 +684,18 @@ def run_distinguisher(
             planted_hint=candidate if algo_id == "oracle-v" else None,
             **algo_params,
         )
-        answers = answer_sequence(oracle, algorithm)
-        decisions.append(algorithm.decide(answers))
-        truths.append(planted)
-        queries_used += oracle.query_count
+        runs.append((oracle, algorithm))
+
+    def decide(run) -> bool:
+        oracle, algorithm = run
+        return algorithm.decide(answer_sequence(oracle, algorithm))
+
+    if all(oracle.mode == "honest" for oracle, _ in runs):
+        with ThreadPoolExecutor(min(trials, _cpu_count())) as pool:
+            decisions = tuple(pool.map(decide, runs))
+    else:
+        decisions = tuple(map(decide, runs))
+    queries_used = sum(oracle.query_count for oracle, _ in runs)
     correct = sum(1 for t, g in zip(truths, decisions) if t == g)
     advantage = 2.0 * (correct / trials) - 1.0
     majority = "YES" if sum(decisions) * 2 >= trials else "NO"
@@ -661,6 +706,6 @@ def run_distinguisher(
         advantage=advantage,
         trials=trials,
         params=dict(algo_params),
-        truths=tuple(truths),
-        decisions=tuple(decisions),
+        truths=truths,
+        decisions=decisions,
     )

@@ -3,7 +3,8 @@
 Each one computes the same quantity as a production path in the plainest
 form available: a Python loop where the library broadcasts, a full grid
 or a 1-D quadrature where the library sums a Hermite series, libm pow
-where the library multiplies.
+where the library multiplies, one trial after another where the library
+answers trials concurrently.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -30,7 +31,7 @@ from momentforge.gaussian import (
     gaussian_interval_mass,
 )
 from momentforge.integrate import panel_integrate_1d, panel_integrate_2d
-from momentforge.sq import CLIP_BASE
+from momentforge.sq import CLIP_BASE, answer_sequence, build_algorithm
 
 # Above this the p_k antiderivative form loses more than ~1e-10 relative to
 # cancellation on central intervals; switch to the incomplete-gamma form.
@@ -119,6 +120,30 @@ def pow_clipped_power(j: int):
         return np.clip(np.asarray(t, dtype=float) ** j / scale, -1.0, 1.0)
 
     return fn
+
+
+def serial_distinguisher(algo_id, oracle_factory, trials, seed, **algo_params):
+    """sq.run_distinguisher's trials in one loop on the calling thread.
+
+    Returns (truths, decisions, queries_used, oracles), the oracles in trial
+    order with their query logs.
+    """
+    truths, decisions, oracles = [], [], []
+    for trial in range(trials):
+        planted = trial % 2 == 0
+        oracle, candidate = oracle_factory("planted" if planted else "null", trial)
+        algorithm = build_algorithm(
+            algo_id,
+            oracle.d,
+            seed=seed + 7919 * trial,
+            planted_hint=candidate if algo_id == "oracle-v" else None,
+            **algo_params,
+        )
+        decisions.append(algorithm.decide(answer_sequence(oracle, algorithm)))
+        truths.append(planted)
+        oracles.append(oracle)
+    queries_used = sum(oracle.query_count for oracle in oracles)
+    return tuple(truths), tuple(decisions), queries_used, oracles
 
 
 def double_fact_falling(m: int, i: int) -> int:

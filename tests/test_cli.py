@@ -459,6 +459,29 @@ class TestSampleStream:
         args = ["--d", str(self.D), "--n", "3", "--out", str(out)]
         assert main(["sample", str(nets["e1"]), *args]) == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "0.4"), ("--sigma", "0.05"), ("--direction", "random"),
+         ("--direction", "e1")],
+    )
+    def test_network_rejects_sigma_and_direction(self, nets, tmp_path, capsys, flag, value):
+        # The network carries its own sigma and v; even a value equal to the
+        # instance default is refused rather than silently ignored.
+        out = tmp_path / "samples.csv"
+        code = main(["sample", str(nets["e1"]), flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "network fixes sigma and v" in err
+        assert not out.exists()
+
+    def test_instance_sigma_and_direction_defaults(self, built_m5, tmp_path):
+        args = ["--kind", "planted", "--d", str(self.D), "--n", "20", "--seed", "3"]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert main(["sample", str(built_m5), *args, "--out", str(implicit)]) == 0
+        defaults = ["--sigma", "0.05", "--direction", "e1"]
+        assert main(["sample", str(built_m5), *args, *defaults, "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_pipe_is_written_directly(self, nets, tmp_path):
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)

@@ -1,13 +1,17 @@
 """The STAT(tau) oracle contract and the distinguisher experiments."""
 
 import math
+import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import pow_clipped_power, pow_monomial_values
+from oracles import pow_clipped_power, pow_monomial_values, serial_distinguisher
 
 from momentforge import (
     HiddenDirectionDist,
@@ -21,6 +25,8 @@ from momentforge import (
     run_distinguisher,
     stat_query,
 )
+from momentforge import sq as sq_module
+from momentforge.cli import main
 from momentforge.distributions import STREAM_ORACLE, rng_stream
 from momentforge.gaussian import gaussian_moment
 from momentforge.sq import (
@@ -348,7 +354,9 @@ class TestAnswerPaths:
 
     @pytest.mark.parametrize("kind", ["planted", "null"])
     def test_null_expectation_once_per_function(self, hidden50, monkeypatch, kind):
-        # 12 directions x 5 clipped powers share 5 function objects.
+        # 12 directions x 5 clipped powers share 5 function objects, and
+        # their N(0,1) expectations are kept for the whole process: a second
+        # oracle integrates none of them again.
         from momentforge import sq as sq_module
 
         calls = []
@@ -359,11 +367,19 @@ class TestAnswerPaths:
             return original(fn, *args)
 
         monkeypatch.setattr(sq_module, "_gaussian_expectation", counted)
+        monkeypatch.setattr(sq_module, "_GAUSSIAN_EXPECTATIONS", weakref.WeakKeyDictionary())
         target = PlantedTarget(hidden50) if kind == "planted" else NullTarget(self.D)
         algo = build_algorithm("random-projection-moment", self.D, seed=8, tau=TAU)
-        answer_sequence(make_oracle(target, "adversarial"), algo)
+        first = make_oracle(target, "adversarial")
+        answer_sequence(first, algo)
         assert len(algo.queries) == 60
         assert len(calls) == 5
+        second = make_oracle(target, "adversarial", seed=1)
+        answer_sequence(second, algo)
+        assert len(calls) == 5
+        assert [e.answer for e in second.query_log] == [
+            e.answer for e in first.query_log
+        ]
 
     def test_error_estimates_by_path(self, hidden50):
         # The target expectation's error: the integrator's estimate (plus
@@ -469,3 +485,138 @@ class TestAnswerPaths:
         assert path == "series"
         law = hidden50.marginal.projected(float(u @ hidden50.v))
         assert value == pytest.approx(law.expectation(np.tanh), abs=1e-10)
+        # Nor the N(0,1) expectation table.
+        null = make_oracle(NullTarget(self.D), "adversarial")
+        value, path = null._true_expectation(query, null._target)
+        assert path == "quadrature"
+        assert abs(value) <= value.error
+
+
+class TestConcurrentTrials:
+    """Honest trials are answered on a thread pool, with every output equal
+    to a serial loop's; adversarial trials stay on the calling thread."""
+
+    TAU = 0.05  # 1,600 draws an answer
+    TRIALS = 30
+    SEED = 41
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        """Four workers, more than this host may have cores, switching
+        threads far more often than usual."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.fixture
+    def answer_threads(self, monkeypatch):
+        """Identities of the threads that answer a trial's queries."""
+        threads = set()
+        real = sq_module.answer_sequence
+
+        def recorded(oracle, algorithm):
+            threads.add(threading.get_ident())
+            return real(oracle, algorithm)
+
+        monkeypatch.setattr(sq_module, "answer_sequence", recorded)
+        return threads
+
+    def factory(self, dist5, mode, made=None):
+        """Trial oracles; made, if given, collects (kind, trial, thread,
+        oracle) per call.  mode(trial) gives the trial's oracle mode."""
+
+        def make(kind, trial):
+            v = np.random.default_rng(500 + trial).standard_normal(D_SMALL)
+            v /= np.linalg.norm(v)
+            hd = HiddenDirectionDist(d=D_SMALL, v=v, marginal=dist5)
+            target = PlantedTarget(hd) if kind == "planted" else NullTarget(D_SMALL)
+            oracle = SqOracle(target, mode(trial), tau=self.TAU, seed=600 + 31 * trial)
+            if made is not None:
+                made.append((kind, trial, threading.get_ident(), oracle))
+            return oracle, hd
+
+        return make
+
+    def run(self, algo_id, factory):
+        return run_distinguisher(
+            algo_id, factory, self.TRIALS, self.SEED, tau=self.TAU
+        )
+
+    @pytest.mark.parametrize(
+        "algo_id", ["moment-scan", "random-projection-moment", "oracle-v"]
+    )
+    def test_honest_pool_matches_serial_loop(
+        self, dist5, four_cpus, answer_threads, algo_id
+    ):
+        honest = self.factory(dist5, lambda trial: "honest")
+        truths, decisions, queries_used, oracles = serial_distinguisher(
+            algo_id, honest, self.TRIALS, self.SEED, tau=self.TAU
+        )
+        made = []
+        result = self.run(algo_id, self.factory(dist5, lambda trial: "honest", made))
+        assert threading.get_ident() not in answer_threads
+        assert result.truths == truths
+        assert result.decisions == decisions
+        assert result.queries_used == queries_used
+        logs = [[e.answer for e in oracle.query_log] for *_, oracle in made]
+        assert logs == [[e.answer for e in oracle.query_log] for oracle in oracles]
+
+    def test_factory_runs_in_trial_order_on_calling_thread(self, dist5, four_cpus):
+        made = []
+        self.run("oracle-v", self.factory(dist5, lambda trial: "honest", made))
+        calls = [(kind, trial) for kind, trial, *_ in made]
+        assert calls == [
+            ("planted" if trial % 2 == 0 else "null", trial)
+            for trial in range(self.TRIALS)
+        ]
+        assert {thread for _, _, thread, _ in made} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("adversarial", [range(30), [3]], ids=["all", "one"])
+    def test_adversarial_trials_stay_serial(
+        self, dist5, four_cpus, answer_threads, adversarial
+    ):
+        def mode(trial):
+            return "adversarial" if trial in adversarial else "honest"
+
+        self.run("moment-scan", self.factory(dist5, mode))
+        assert answer_threads == {threading.get_ident()}
+
+    def test_error_in_a_trial_reaches_the_caller(self, dist5, four_cpus):
+        honest = self.factory(dist5, lambda trial: "honest")
+
+        def failing(kind, trial):
+            oracle, hd = honest(kind, trial)
+            if trial in (7, 20):
+
+                def fail(query, n):
+                    raise ValidationError(f"trial {trial} cannot answer")
+
+                oracle._honest_values = fail
+            return oracle, hd
+
+        with pytest.raises(ValidationError, match="trial 7 cannot answer"):
+            self.run("moment-scan", failing)
+
+    def test_cli_output_does_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        instance = tmp_path / "m5.json"
+        assert main(["build", "--out", str(instance)]) == 0
+        outputs = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"sq-{len(cpus)}.json"
+            argv = ["distinguish", str(instance), "--mode", "honest",
+                    "--tau", str(self.TAU), "--trials", str(self.TRIALS),
+                    "--d", str(D_SMALL), "--seed", "7", "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+        def fail(self, query, n):
+            raise ValidationError("cannot answer")
+
+        monkeypatch.setattr(SqOracle, "_honest_values", fail)
+        assert main(argv) == 2
