@@ -365,23 +365,26 @@ def _write_samples(blocks, path: str, fmt: str) -> None:
                 fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
+def _reject_law_flags(args, reason: str) -> None:
+    """Refuse --sigma and --direction where they would be ignored."""
+    for flag, value in (("--sigma", args.sigma), ("--direction", args.direction)):
+        if value is not None:
+            raise ValidationError(f"{flag} does not apply {reason}")
+
+
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     data = load_json(args.file)
     kind = data.get("kind")
     if args.kind == "null":
+        _reject_law_flags(args, "to null sampling: N(0, I_d) has no sigma or v")
         if args.d is None:
             raise ValidationError("null sampling needs --d")
         _check_dimension(args.d)
         blocks = null_blocks(args.d, args.n, args.seed)
     elif kind == "lifted":
-        for flag, value in (("--sigma", args.sigma), ("--direction", args.direction)):
-            if value is not None:
-                raise ValidationError(
-                    f"{flag} does not apply to a network file: "
-                    "the network fixes sigma and v"
-                )
+        _reject_law_flags(args, "to a network file: the network fixes sigma and v")
         net = network_from_payload(data)
         if args.d is not None and args.d != net.d:
             raise ValidationError(
@@ -520,13 +523,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--kind", choices=("planted", "null"), default="planted")
     p_sample.add_argument("--d", type=int, default=None)
     p_sample.add_argument(
-        "--sigma", type=float, default=None, help="instance files only (default 0.05)"
+        "--sigma",
+        type=float,
+        default=None,
+        help="planted sampling from an instance only (default 0.05)",
     )
     p_sample.add_argument(
         "--direction",
         choices=("e1", "random"),
         default=None,
-        help="instance files only (default e1)",
+        help="planted sampling from an instance only (default e1)",
     )
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--format", choices=("csv", "f64"), default="csv")

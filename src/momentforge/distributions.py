@@ -369,8 +369,11 @@ class HiddenDirectionDist:
 
     def embed(self, s: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Rows s[i] * v + (I - vv')g[i]: marginal draws s along v, the
-        (n, d) Gaussian draws g projected off v.  Overwrites and returns g."""
-        g -= np.outer(g @ self.v, self.v)
+        (n, d) Gaussian draws g projected off v.  Overwrites and returns g.
+
+        g.v is an einsum, not a BLAS product, so its rounding does not depend
+        on how many threads BLAS splits the rows between."""
+        g -= np.outer(np.einsum("ij,j->i", g, self.v), self.v)
         g += np.outer(s, self.v)
         return g
 

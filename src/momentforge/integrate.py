@@ -16,8 +16,11 @@ Integrands are vectorized and get one node vector per axis: a 2-D integrand
 f(gx, gy) returns the len(gx) x len(gy) grid f(gx[i], gy[j]).  One call per
 order covers a row: one panel's nodes on each leading axis and the joined
 nodes of all listed last-axis panels (every panel at first, then one box
-with its split side halved).  Factors of one coordinate, like D(x) and D(x')
-in the verification integrand, are thus evaluated once per row.
+with its split side halved).  Within one sweep (the first one, or one
+refinement), every row of an order gets the same last-axis node array
+object, so an integrand may compute a factor of the last coordinate, like
+D(x') in the verification integrand, once per sweep and order by keeping
+it for that object; a factor of a leading coordinate is computed per row.
 
 An integrand may add a trailing output axis, one entry per row of a
 vector-valued integral (say the Hermite projections h_0..h_K of one query

@@ -17,6 +17,7 @@ self-contained and serializes to JSON.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -169,13 +170,19 @@ def tv_hidden_pair(
     theta = math.acos(cosine)
     sin_t = math.sin(theta)
     breaks = _plane_breaks(dist)
+    # The rows of one order in a sweep share one last-axis node array (see
+    # integrate.py), so D(x') is kept for the last array seen.  Holding the
+    # array keeps its identity from being reused by a later one.
+    last = [None, None]
 
     def integrand(gx, gxp):
+        if last[0] is not gxp:
+            last[:] = gxp, dist.density(gxp)
         x, xp = gx[:, None], gxp[None, :]
         y = (xp - x * cosine) / sin_t
         yp = (xp * cosine - x) / sin_t
         first = dist.density(gx)[:, None] * gaussian_density(y)
-        second = dist.density(gxp)[None, :] * gaussian_density(yp)
+        second = last[1][None, :] * gaussian_density(yp)
         return np.minimum(first, second) / sin_t
 
     overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
@@ -183,13 +190,15 @@ def tv_hidden_pair(
 
 
 def w1_empirical(samples_a, samples_b) -> float:
-    """Empirical Wasserstein-1 distance by the sorted coupling."""
+    """Empirical Wasserstein-1 distance by the sorted coupling.  The inputs
+    are left as they are; equal sizes difference the sorted copies in place."""
     a = np.sort(np.asarray(samples_a, dtype=float))
     b = np.sort(np.asarray(samples_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValidationError("empty sample set")
     if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
+        a -= b
+        return float(np.mean(np.abs(a, out=a)))
     grid = (np.arange(max(a.size, b.size)) + 0.5) / max(a.size, b.size)
     qa = np.quantile(a, grid)
     qb = np.quantile(b, grid)
@@ -331,21 +340,15 @@ def _recorded(report: VerificationReport, label: str):
         report.errors.append(f"{label}: {exc}")
 
 
-def verify_instance(
-    initial: BumpInstance,
+def _quadrature_checks(
+    report: VerificationReport,
+    dist: PushforwardDist,
     evolved: BumpInstance,
     network: ReluNetwork1D,
     config: VerifyConfig,
-    trace: EvolutionTrace | None = None,
-) -> VerificationReport:
-    """Run every check on one build's artifacts.
-
-    A sub-check that raises ValidationError is recorded in the report and
-    the others still run; a NumericGuardError (such as QuadratureError)
-    propagates, as does any other exception."""
-    report = VerificationReport(m=evolved.m, config=config)
-    dist = PushforwardDist.from_instance(evolved, config.sigma)
-
+) -> float:
+    """Record the moment, network, chi-squared, correlation and TV checks in
+    turn; returns chi-squared (inf when that check failed)."""
     with _recorded(report, "moments"):
         report.moment_errors = [
             abs(dist.moment(k) - gaussian_moment(k)) for k in range(1, evolved.m + 1)
@@ -395,14 +398,79 @@ def verify_instance(
                     passed=value - bound >= value.error,
                 )
             )
+    return chi_value
+
+
+def _flow_w1(
+    initial: BumpInstance, evolved: BumpInstance, config: VerifyConfig
+) -> float:
+    """Empirical W1 between the unsmoothed initial and evolved pushforwards."""
+    d0 = PushforwardDist.from_instance(initial, 0.0)
+    dt = PushforwardDist.from_instance(evolved, 0.0)
+    return w1_empirical(
+        d0.sample(config.w1_samples, config.seed),
+        dt.sample(config.w1_samples, config.seed + 1),
+    )
+
+
+def _support_distance(
+    evolved: BumpInstance, config: VerifyConfig
+) -> SupportDistanceResult:
+    support_dist = PushforwardDist.from_instance(evolved, min(config.sigma, 0.01))
+    return distance_to_support(
+        support_dist,
+        config.support_cosine,
+        config.support_samples,
+        config.seed,
+        config.support_threshold_coef,
+    )
+
+
+def _settled(fn, *args) -> Future:
+    """A finished Future holding fn(*args) or the exception it raised."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def verify_instance(
+    initial: BumpInstance,
+    evolved: BumpInstance,
+    network: ReluNetwork1D,
+    config: VerifyConfig,
+    trace: EvolutionTrace | None = None,
+) -> VerificationReport:
+    """Run every check on one build's artifacts.
+
+    A sub-check that raises ValidationError is recorded in the report and
+    the others still run; a NumericGuardError (such as QuadratureError)
+    propagates, as does any other exception.
+
+    The quadrature checks (moments to TV) run on one worker thread while
+    this thread runs the sampled ones, W1 and distance-to-support, on
+    distributions of their own.  The sampled checks' results and errors
+    are recorded after the quadrature checks, in the serial order, so the
+    report, the order of its errors and the exception that escapes do not
+    depend on the overlap.  The worker is joined before return.  The
+    sampled checks stay on this thread so that their sample arrays, the
+    largest allocations here, reuse the memory freed by earlier calls.
+    """
+    report = VerificationReport(m=evolved.m, config=config)
+    dist = PushforwardDist.from_instance(evolved, config.sigma)
+
+    with ThreadPoolExecutor(1) as pool:
+        quadrature = pool.submit(
+            _quadrature_checks, report, dist, evolved, network, config
+        )
+        w1_task = _settled(_flow_w1, initial, evolved, config)
+        support_task = _settled(_support_distance, evolved, config)
+        chi_value = quadrature.result()
 
     with _recorded(report, "w1"):
-        d0 = PushforwardDist.from_instance(initial, 0.0)
-        dt = PushforwardDist.from_instance(evolved, 0.0)
-        w1 = w1_empirical(
-            d0.sample(config.w1_samples, config.seed),
-            dt.sample(config.w1_samples, config.seed + 1),
-        )
+        w1 = w1_task.result()
         height_drift = float(
             np.max(np.abs(evolved.heights() - initial.heights()))
         )
@@ -413,15 +481,7 @@ def verify_instance(
         report.w1_flow_passed = w1 <= w1_bound
 
     with _recorded(report, "distance-to-support"):
-        small_sigma = min(config.sigma, 0.01)
-        support_dist = PushforwardDist.from_instance(evolved, small_sigma)
-        report.support_distance = distance_to_support(
-            support_dist,
-            config.support_cosine,
-            config.support_samples,
-            config.seed,
-            config.support_threshold_coef,
-        )
+        report.support_distance = support_task.result()
 
     with _recorded(report, "vandermonde"):
         nodes = initial.left_heights() ** 2

@@ -327,6 +327,8 @@ def check_default_blocks_at_d50(built: str, workdir: str) -> None:
         if kind == "lifted":
             assert main(["export", built, *args, "--out", net]) == 0
             argv = ["sample", net]
+        elif kind == "null":
+            argv = ["sample", built, "--kind", kind, *args[:2]]
         else:
             argv = ["sample", built, "--kind", kind, *args[:4]]
         argv += ["--n", str(n), "--seed", str(seed), "--format", "f64", "--out", out]
@@ -368,8 +370,10 @@ class TestSampleStream:
     def argv(self, kind, direction, nets, built_m5):
         if kind == "lifted":
             return ["sample", str(nets[direction])]
-        return ["sample", str(built_m5), "--kind", kind, "--d", str(self.D),
-                "--direction", direction, "--sigma", str(self.SIGMA)]
+        argv = ["sample", str(built_m5), "--kind", kind, "--d", str(self.D)]
+        if kind == "planted":
+            argv += ["--direction", direction, "--sigma", str(self.SIGMA)]
+        return argv
 
     def reference(self, kind, direction, n, nets, built_m5):
         return one_shot(
@@ -422,6 +426,30 @@ class TestSampleStream:
         )
         assert done.returncode == 0, done.stderr
 
+    def test_random_direction_bytes_ignore_blas_threads(self, built_m5, tmp_path):
+        # g.v does not go through BLAS, so the planted file is the same under
+        # one and two BLAS threads; d and n span more than one default block.
+        argv = ["sample", str(built_m5), "--kind", "planted", "--d", "50",
+                "--n", "16385", "--seed", "7", "--direction", "random",
+                "--format", "f64"]
+        paths = [os.path.dirname(os.path.dirname(momentforge.__file__))]
+        python_path = os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=python_path)
+            env.update({var: threads for var in BLAS_THREAD_VARS})
+            out = tmp_path / f"threads{threads}.f64"
+            done = subprocess.run(
+                [sys.executable, "-m", "momentforge", *argv, "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            files.append(out.read_bytes())
+        assert len(files[0]) == 16385 * 50 * 8
+        assert files[0] == files[1]
+
     @pytest.mark.parametrize("existing", [True, False])
     @pytest.mark.parametrize("fmt", ["csv", "f64"])
     @pytest.mark.parametrize("kind", ["lifted", "planted", "null"])
@@ -472,6 +500,21 @@ class TestSampleStream:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and "network fixes sigma and v" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "0.4"), ("--sigma", "0.05"), ("--direction", "random"),
+         ("--direction", "e1")],
+    )
+    def test_null_rejects_sigma_and_direction(self, built_m5, tmp_path, capsys, flag, value):
+        # N(0, I_d) has neither; a flag that changes nothing is refused
+        # rather than silently ignored.
+        out = tmp_path / "samples.csv"
+        argv = ["sample", str(built_m5), "--kind", "null", "--d", str(self.D), "--n", "5"]
+        assert main([*argv, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "null sampling" in err
         assert not out.exists()
 
     def test_instance_sigma_and_direction_defaults(self, built_m5, tmp_path):

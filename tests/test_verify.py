@@ -1,10 +1,12 @@
 """Divergence estimates, Wasserstein checks, and the full report."""
 
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
-from oracles import meshgrid_correlation
+from oracles import meshgrid_correlation, per_row_tv, serial_verify_instance
 
 from momentforge import (
     PushforwardDist,
@@ -21,6 +23,7 @@ from momentforge import (
     w1_empirical,
 )
 from momentforge import verify as verify_module
+from momentforge.cli import _report_to_jsonable
 from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
 
 
@@ -123,6 +126,51 @@ class TestTvHiddenPair:
         assert float(tv) == pytest.approx(0.8815742493526485, rel=1e-15)
         assert tv.error == pytest.approx(8.531840258803729e-05, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "marginal, cosine", [("m5", 0.1), ("m5", 0.5), ("gaussian", 0.5)]
+    )
+    def test_bit_equal_to_per_row_densities(self, dist5, marginal, cosine):
+        dist = dist5 if marginal == "m5" else PushforwardDist.gaussian(0.05)
+        breaks = verify_module._plane_breaks(dist)
+        value, error = per_row_tv(dist, cosine, breaks, 1e-4)
+        tv = tv_hidden_pair(dist, cosine, tol_abs=1e-4)
+        assert float(tv) == value
+        assert tv.error == error
+
+    def test_last_axis_density_once_per_sweep_and_order(self, dist5, monkeypatch):
+        # Every row of one order in a sweep shares one last-axis node array;
+        # the coarse and the fine array of a sweep each get one density call,
+        # and every other call is a row's leading-axis nodes.
+        tails, leading, density_args = [], [], []
+        integrate_2d = verify_module.panel_integrate_2d
+        density = ProjectedLaw.density
+
+        def recording_2d(f, *args, **kwargs):
+            def integrand(gx, gxp):
+                if not tails or tails[-1] is not gxp:
+                    tails.append(gxp)
+                leading.append(gx)
+                return f(gx, gxp)
+
+            return integrate_2d(integrand, *args, **kwargs)
+
+        def counted(self, x):
+            density_args.append(x)
+            return density(self, x)
+
+        monkeypatch.setattr(verify_module, "panel_integrate_2d", recording_2d)
+        monkeypatch.setattr(ProjectedLaw, "density", counted)
+        tv_hidden_pair(dist5, 0.5, tol_abs=1e-4)
+        assert len({id(t) for t in tails}) == len(tails)
+        assert len(tails) % 2 == 0 and len(tails) >= 4
+        for coarse, fine in zip(tails[::2], tails[1::2]):
+            assert fine.size == 2 * coarse.size
+        on_tails = [x for x in density_args if any(x is t for t in tails)]
+        on_leading = [x for x in density_args if any(x is g for g in leading)]
+        assert len(on_tails) == len(tails)
+        assert len(on_leading) == len(leading)
+        assert len(density_args) == len(tails) + len(leading)
+
     def test_monotonicity_spot_check(self, dist5):
         tv_small = tv_hidden_pair(dist5, 0.1, tol_abs=1e-4)
         tv_half = tv_hidden_pair(dist5, 0.5, tol_abs=1e-4)
@@ -157,6 +205,15 @@ class TestW1Empirical:
             c = rng.standard_normal(2000) + 0.7
             ab, bc, ac = w1_empirical(a, b), w1_empirical(b, c), w1_empirical(a, c)
             assert ac <= ab + bc + 0.05
+
+    @pytest.mark.parametrize("n", [1, 2, 1001])
+    def test_sorted_difference_bit_equal_and_inputs_kept(self, rng, n):
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n) * 1.3 + 0.2
+        a_before, b_before = a.copy(), b.copy()
+        want = float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+        assert w1_empirical(a, b) == want
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -328,3 +385,67 @@ class TestVerifyInstance:
         assert report.errors == ["pairwise correlation at 0.1: rejected input"]
         assert not report.all_passed()
         assert report.vandermonde is not None
+
+    def test_report_equals_serial_checks(self, build5):
+        initial, evolved, trace = build5
+        network = compile_instance(evolved)
+        config = VerifyConfig(w1_samples=200_000, support_samples=50_000)
+        got = verify_instance(initial, evolved, network, config, trace=trace)
+        want = serial_verify_instance(initial, evolved, network, config, trace=trace)
+        assert json.dumps(_report_to_jsonable(got)) == json.dumps(
+            _report_to_jsonable(want)
+        )
+
+    def test_errors_recorded_in_serial_order(self, build5, monkeypatch):
+        def rejecting(label):
+            def failing(*args, **kwargs):
+                raise ValidationError(f"{label} rejected")
+
+            return failing
+
+        for name in ("pairwise_correlation", "w1_empirical", "distance_to_support"):
+            monkeypatch.setattr(verify_module, name, rejecting(name))
+        initial, evolved, trace = build5
+        config = VerifyConfig(
+            correlation_cosines=(0.1,),
+            tv_cosines=(),
+            w1_samples=50_000,
+            support_samples=20_000,
+        )
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert report.errors == [
+            "pairwise correlation at 0.1: pairwise_correlation rejected",
+            "w1: w1_empirical rejected",
+            "distance-to-support: distance_to_support rejected",
+        ]
+        assert report.vandermonde is not None
+
+    @pytest.mark.parametrize("w1_fails", [False, True])
+    def test_no_thread_outlives_a_quadrature_error(self, build5, monkeypatch, w1_fails):
+        # TV fails on the worker: its error reaches the caller, ahead of a
+        # later check's bug as in the serial order, and the worker is gone.
+        def failing_tv(*args, **kwargs):
+            raise QuadratureError(achieved=1e-3, target=1e-4)
+
+        def buggy_w1(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(verify_module, "tv_hidden_pair", failing_tv)
+        if w1_fails:
+            monkeypatch.setattr(verify_module, "w1_empirical", buggy_w1)
+        initial, evolved, trace = build5
+        config = VerifyConfig(correlation_cosines=(), w1_samples=1_000)
+        threads = threading.active_count()
+        with pytest.raises(QuadratureError):
+            verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert threading.active_count() == threads
+
+    def test_sampled_check_bug_propagates(self, build5, monkeypatch):
+        def buggy_support(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(verify_module, "distance_to_support", buggy_support)
+        initial, evolved, trace = build5
+        config = VerifyConfig(tv_cosines=(), w1_samples=1_000, support_samples=1_000)
+        with pytest.raises(TypeError, match="bug"):
+            verify_instance(initial, evolved, compile_instance(evolved), config)
