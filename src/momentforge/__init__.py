@@ -10,6 +10,7 @@ from .bumps import (
     Bump,
     BumpInstance,
     bump_eval,
+    bump_law,
     bump_moment,
     bump_moment_deps,
     bump_moment_dh,

@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .errors import NumericGuardError, ValidationError
 from .flow import EvolutionTrace, SlopeTarget, evolve
-from .gaussian import gaussian_interval_mass, hermite_rule, reduce_rule
+from .gaussian import hermite_rule, reduce_rule
 from .network import LiftedNetwork, ReluNetwork1D, ReluUnit, compile_instance, lift
 from .serialize import (
     SCHEMA,
@@ -131,10 +131,7 @@ def _load_build(path: str):
     reduced = reduced_rule_from_payload(data["reduced_rule"])
     for inst in (initial, evolved):
         for i, (b, lam) in enumerate(zip(inst.bumps, reduced.weights)):
-            mass = gaussian_interval_mass(
-                b.center - b.half_width, b.center + b.half_width
-            )
-            if abs(mass - lam) > 1e-10:
+            if abs(b.plateau_mass - lam) > 1e-10:
                 raise ValidationError(
                     f"{path}: plateau mass of bump {i} drifted from its rule weight"
                 )

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .bumps import (
-    BumpInstance,
-    instance_eval,
-    instance_pushforward_moment,
-    instance_value_law,
-)
+from .bumps import BumpInstance, instance_eval, instance_value_law, law_moment
 from .errors import ValidationError
 from .gaussian import (
     HERMITE_KAPPA,
@@ -178,8 +173,7 @@ def _law_from_instance(inst: BumpInstance, coef: float, width: float) -> Project
     covered = 0.0
     for b in inst.bumps:
         c, w, e, h = b.center, b.half_width, b.ramp, b.height
-        plateau_mass = gaussian_interval_mass(c - w, c + w)
-        atoms.append((h, plateau_mass))
+        atoms.append((h, b.plateau_mass))
         covered += gaussian_interval_mass(*b.support)
         if e > 0.0:
             slope = h / e
@@ -224,7 +218,9 @@ class PushforwardDist:
         self.scale = math.sqrt(1.0 - sigma * sigma)
         self._spectrum: list[float] = []
         self._moments: dict[int, float] = {}
-        self._spectrum_source = None
+        if inst is not None:
+            self._value_law = instance_value_law(inst)
+            self._spectrum_rows = hermite_rows(self._value_law[0])
         if sigma > 0.0:
             if inst is None:
                 self._law = _identity_law(self.scale, self.sigma)
@@ -291,7 +287,7 @@ class PushforwardDist:
         total = 0.0
         for j in range(0, k + 1, 2):
             inner = k - j
-            base = 1.0 if inner == 0 else instance_pushforward_moment(self.inst, inner)
+            base = 1.0 if inner == 0 else law_moment(*self._value_law, inner)
             total += (
                 math.comb(k, j)
                 * self.sigma**j
@@ -313,12 +309,9 @@ class PushforwardDist:
             raise ValidationError("spectrum length must be nonnegative")
         if self.inst is None:
             return np.eye(1, terms + 1)[0]
-        if self._spectrum_source is None:
-            values, masses = instance_value_law(self.inst)
-            self._spectrum_source = (masses, hermite_rows(values))
-        masses, rows = self._spectrum_source
+        masses = self._value_law[1]
         while len(self._spectrum) <= terms:
-            self._spectrum.append(float(masses @ next(rows)))
+            self._spectrum.append(float(masses @ next(self._spectrum_rows)))
         return np.array(self._spectrum[: terms + 1])
 
     def hermite_bound(self) -> float:

@@ -81,18 +81,13 @@ def build_system(inst: BumpInstance) -> FlowSystem:
     """
     if inst.eps <= 0.0:
         raise ValidationError("system assembly requires a positive ramp width")
-    half = inst.half
-    left = inst.bumps[:half]
+    left = inst.bumps[: inst.half]
     heights = np.array([b.height for b in left])
     if np.any(heights == 0.0):
         raise ValidationError("system assembly requires nonzero heights")
-    orders = np.arange(2, inst.m, 2, dtype=float)
-    Z = np.empty((half, half))
-    deps = np.empty((half, half))
-    for i, bump in enumerate(left):
-        for l, k in enumerate(orders):
-            Z[i, l] = bump_moment(bump, int(k))
-            deps[i, l] = bump_moment_deps(bump, int(k))
+    orders = np.arange(2, inst.m, 2)
+    Z = np.array([bump_moment(bump, orders) for bump in left])
+    deps = np.array([bump_moment_deps(bump, orders) for bump in left])
     if not np.all(np.isfinite(Z)) or not np.all(np.isfinite(deps)):
         raise ValidationError("non-finite moment encountered in system assembly")
     b = -deps.sum(axis=0)
@@ -101,7 +96,7 @@ def build_system(inst: BumpInstance) -> FlowSystem:
         Z=Z,
         b=b,
         inv_heights=1.0 / heights,
-        moment_orders=orders,
+        moment_orders=orders.astype(float),
         sigma_min=float(singular[-1]),
         sigma_max=float(singular[0]),
     )
@@ -135,13 +130,8 @@ def _solve_direction(system: FlowSystem, t: float, sigma_floor_factor: float) ->
 
 def moment_vector(inst: BumpInstance) -> np.ndarray:
     """Tracked functional: left-half sums of even bump moments 2, ..., m-1."""
-    half = inst.half
-    return np.array(
-        [
-            sum(bump_moment(b, k) for b in inst.bumps[:half])
-            for k in range(2, inst.m, 2)
-        ]
-    )
+    orders = np.arange(2, inst.m, 2)
+    return np.sum([bump_moment(b, orders) for b in inst.bumps[: inst.half]], axis=0)
 
 
 @dataclass(frozen=True)
@@ -154,9 +144,9 @@ class SlopeTarget:
     def __post_init__(self):
         if (self.eps_target is None) == (self.slope_target is None):
             raise ValidationError("specify exactly one of eps_target, slope_target")
-        if self.eps_target is not None and self.eps_target <= 0.0:
+        if self.eps_target is not None and not self.eps_target > 0.0:
             raise ValidationError("eps_target must be positive")
-        if self.slope_target is not None and self.slope_target <= 0.0:
+        if self.slope_target is not None and not self.slope_target > 0.0:
             raise ValidationError("slope_target must be positive")
 
 

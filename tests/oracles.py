@@ -11,9 +11,12 @@ The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
 incomplete gamma functions, or from adaptive quadrature, and
 bump_moment_closed assembles them into the printed three-part closed form
-of an even bump moment.  The library computes bump moments on the unit-
-interval substitution instead (bumps.bump_moment), which stays stable for
-ramp widths down to 1e-6 where the closed form cancels catastrophically.
+of an even bump moment.  The library computes bump moments by contracting
+one discrete law, bumps.bump_law, built on the unit-interval substitution of
+the ramps, which stays stable for ramp widths down to 1e-6 where the closed
+form cancels catastrophically.  reference_bump_moment and
+reference_bump_moment_deps keep the per-order form of that kernel: one
+scalar, libm pow and one dot product per order.
 """
 
 import math
@@ -24,7 +27,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from momentforge import verify
-from momentforge.bumps import Bump
+from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
 from momentforge.errors import ValidationError
 from momentforge.gaussian import (
     SQRT_2PI,
@@ -403,6 +406,37 @@ def _shifted_truncated_moment_terms(
         total += term
         magnitude += abs(term)
     return total, magnitude
+
+
+def reference_bump_moment(b: Bump, k: int) -> float:
+    """bumps.bump_moment at one order: the plateau term plus one dot product
+    of the ramp integrand over the 64-node rule, powers by libm pow."""
+    c, w, h, e = b.center, b.half_width, b.height, b.ramp
+    plateau = h**k * gaussian_interval_mass(c - w, c + w)
+    if e == 0.0 or h == 0.0:
+        return plateau if h != 0.0 else 0.0
+    u = _GL_NODES
+    vals = (h * u) ** k * (
+        gaussian_density(c - e - w + e * u) + gaussian_density(c + e + w - e * u)
+    )
+    return plateau + e * float(np.dot(_GL_WEIGHTS, vals))
+
+
+def reference_bump_moment_deps(b: Bump, k: int) -> float:
+    """bumps.bump_moment_deps at one order, differentiating the ramp
+    integrand under the integral, powers by libm pow."""
+    c, w, h, e = b.center, b.half_width, b.height, b.ramp
+    if h == 0.0:
+        return 0.0
+    u = _GL_NODES
+    z_lo = c - e - w + e * u
+    z_hi = c + e + w - e * u
+    base = (h * u) ** k
+    first = base * (gaussian_density(z_lo) + gaussian_density(z_hi))
+    second = base * (u - 1.0) * (
+        -z_lo * gaussian_density(z_lo) + z_hi * gaussian_density(z_hi)
+    )
+    return float(np.dot(_GL_WEIGHTS, first + e * second))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import bump_moment_closed
+from oracles import bump_moment_closed, reference_bump_moment, reference_bump_moment_deps
 from scipy import integrate
 
 from momentforge import (
@@ -13,6 +13,7 @@ from momentforge import (
     SupportCollisionError,
     ValidationError,
     bump_eval,
+    bump_law,
     bump_moment,
     bump_moment_deps,
     bump_moment_dh,
@@ -23,6 +24,7 @@ from momentforge import (
     layout,
     reduce_rule,
 )
+from momentforge.bumps import instance_value_law, law_moment
 from momentforge.gaussian import gaussian_interval_mass, gaussian_moment
 
 REFERENCE_BUMP = Bump(center=2.0, half_width=0.3, height=1.5, ramp=0.1)
@@ -115,6 +117,65 @@ class TestBumpMoment:
     def test_order_validated(self):
         with pytest.raises(ValidationError):
             bump_moment(REFERENCE_BUMP, 0)
+
+
+class TestMomentKernel:
+    """bump_law's contractions against the per-order libm-pow kernel."""
+
+    ORDERS = np.arange(1, 41)
+    ULP = 2.0**-52
+
+    def test_agrees_with_per_order_reference(self, rng):
+        # Powers by k-1 products differ from pow by about k ulps, and every
+        # term of one moment has one sign, so the moment bound is relative.
+        # Mass derivatives mix signs; their bound is relative to |h|^k.
+        for _ in range(300):
+            b = random_bump(rng, eps_lo=1e-14, eps_hi=0.3)
+            moments = bump_moment(b, self.ORDERS)
+            deps = bump_moment_deps(b, self.ORDERS)
+            for k, mu, dmu in zip(self.ORDERS.tolist(), moments, deps):
+                want = reference_bump_moment(b, k)
+                assert abs(mu - want) <= 4 * k * self.ULP * abs(want)
+                want = reference_bump_moment_deps(b, k)
+                assert abs(dmu - want) <= k * self.ULP * abs(b.height) ** k
+
+    def test_order_array_matches_single_orders(self, rng):
+        for _ in range(30):
+            b = random_bump(rng, eps_lo=1e-14, eps_hi=0.3)
+            for fn in (bump_moment, bump_moment_deps):
+                single = [fn(b, k) for k in self.ORDERS.tolist()]
+                assert np.array_equal(fn(b, self.ORDERS), single)
+                assert all(type(v) is float for v in single)
+
+    @pytest.mark.parametrize("fn", [bump_moment, bump_moment_deps])
+    def test_order_below_one_in_array_rejected(self, fn):
+        with pytest.raises(ValidationError):
+            fn(REFERENCE_BUMP, np.array([2, 0, 4]))
+
+    def test_law_atoms(self):
+        b = REFERENCE_BUMP
+        values, masses, mass_deps = bump_law(b)
+        assert values.shape == masses.shape == mass_deps.shape == (65,)
+        assert values[0] == b.height and masses[0] == b.plateau_mass
+        assert mass_deps[0] == 0.0
+        # The ramps hold the Gaussian mass of both ramp intervals.
+        lo, hi = b.support
+        ramps = gaussian_interval_mass(lo, hi) - b.plateau_mass
+        assert masses[1:].sum() == pytest.approx(ramps, rel=1e-13)
+
+    @pytest.mark.parametrize("m", sorted(EPS0_FOR_ORDER))
+    def test_instance_law_matches_bump_moments(self, m):
+        inst = layout(reduce_rule(hermite_rule(m)), EPS0_FOR_ORDER[m], 1e-4)
+        orders = np.arange(1, 2 * m + 1)
+        want = np.sum([bump_moment(b, orders) for b in inst.bumps], axis=0)
+        values, masses = instance_value_law(inst)
+        # Same products, summed in another order: each sum is within its
+        # length's rounding of the sum of absolute terms.
+        scale = law_moment(np.abs(values), masses, orders)
+        tol = (2 * np.log2(values.size) + m) * self.ULP * scale
+        got = instance_pushforward_moment(inst, orders)
+        assert np.array_equal(got, law_moment(values, masses, orders))
+        assert np.all(np.abs(got - want) <= tol)
 
 
 class TestBumpMomentClosed:
@@ -281,6 +342,19 @@ class TestLayout:
         assert named is not None
         inst = layout(reduced, float(named.group(1)), 1e-4)
         assert inst.eps < 1e-6
+
+    @pytest.mark.parametrize("m, floor", [(17, 5.7e-4), (19, 0.21)])
+    def test_moment_error_names_the_ramp_free_floor(self, m, floor):
+        # From m=17 on the rounded plateau masses alone miss the moments by
+        # more than nu/2, so no eps0 passes and the error says so.
+        reduced = reduce_rule(hermite_rule(m))
+        with pytest.raises(ValidationError) as excinfo:
+            layout(reduced, 1e-6, 1e-4)
+        named = re.search(
+            r"ramp-free moment error is (\S+), so no eps0 passes", str(excinfo.value)
+        )
+        assert named is not None
+        assert float(named.group(1)) == pytest.approx(floor, rel=0.01)
 
     def test_eps0_must_be_positive(self):
         reduced = reduce_rule(hermite_rule(3))

@@ -101,6 +101,21 @@ class TestBuild:
         code = main(["build", "--m", "5", "--eps0", "0.2", "--out", str(out)])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--eps-target", "--slope-target"])
+    def test_nan_target_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "nan.json"
+        code = main(["build", "--m", "5", flag, "nan", "--out", str(out)])
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_m17_names_the_ramp_free_floor(self, tmp_path, capsys):
+        code = main(["build", "--m", "17", "--out", str(tmp_path / "m17.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ramp-free moment error is 5.7" in err
+        assert "no eps0 passes at nu=0.0001" in err
+
     def test_validation_exit_code(self, tmp_path):
         out = tmp_path / "bad.json"
         # eps0 large enough to blow the nu/2 budget but not collide.

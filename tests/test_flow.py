@@ -263,6 +263,12 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(instance5, SlopeTarget(eps_target=instance5.eps / 2))
 
+    @pytest.mark.parametrize("field", ["eps_target", "slope_target"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_target_must_be_positive(self, field, value):
+        with pytest.raises(ValidationError, match="must be positive"):
+            SlopeTarget(**{field: value})
+
 
 class TestVandermonde:
     def test_scalar_case(self):

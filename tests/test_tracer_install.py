@@ -2,8 +2,10 @@
 
 bench/tracer.py replaces library functions by name, so renaming a traced
 attribute breaks only the traced benchmark run unless a test installs the
-tracer.  Installing patches modules for the life of the process, so it runs
-in a fresh interpreter.
+tracer.  A wrapped name that the library no longer calls fails nothing but
+reads 0, so a traced build must also count its moment calls and systems.
+Installing patches modules for the life of the process, so each test runs in
+a fresh interpreter.
 """
 
 import subprocess
@@ -19,9 +21,31 @@ from tracer import Tracer, install
 install(Tracer())
 """
 
+TRACED_BUILD = """
+import os, sys, tempfile
+sys.path[:0] = [{bench!r}, {src!r}]
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+from momentforge import cli
+with tempfile.TemporaryDirectory() as tmp:
+    code = cli.main(["build", "--m", "5", "--out", os.path.join(tmp, "m5.json")])
+assert code == 0, code
+assert tracer.counts["bumps.bump_moment_calls"] > 0, dict(tracer.counts)
+assert any(span[0] == "flow.build_system" for span in tracer.spans)
+"""
+
 
 def test_tracer_installs_on_fresh_import():
     script = INSTALL.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_build_counts_moment_calls_and_systems():
+    script = TRACED_BUILD.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
