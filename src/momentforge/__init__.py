@@ -14,6 +14,7 @@ from .bumps import (
     bump_moment,
     bump_moment_deps,
     bump_moment_dh,
+    instance_cdf,
     instance_eval,
     instance_pushforward_moment,
     layout,
@@ -82,6 +83,7 @@ from .verify import (
     tv_hidden_pair,
     verify_instance,
     w1_empirical,
+    w1_instances,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bumps import BumpInstance, instance_eval, instance_value_law, law_moment
 from .errors import ValidationError
 from .gaussian import (
     HERMITE_KAPPA,
     gaussian_interval_mass,
+    gaussian_interval_masses,
     gaussian_moment,
     hermite_rows,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "PushforwardDist",
     "HiddenDirectionDist",
     "sample_marginal",
-    "density",
     "sample_hidden",
     "sample_null",
     "hidden_blocks",
@@ -74,14 +73,6 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     if seed < 0 or seed >= 2**64:
         raise ValidationError("seed must fit in an unsigned 64-bit integer")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream)))
-
-
-def _stable_interval_mass(t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
-    """ndtr(t_hi) - ndtr(t_lo), evaluated through whichever tail is stable."""
-    flip = t_lo > 0.0
-    lo = np.where(flip, -t_hi, t_lo)
-    hi = np.where(flip, -t_lo, t_hi)
-    return ndtr(hi) - ndtr(lo)
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ class ProjectedLaw:
             sd = self.width / np.sqrt(var)
             t_lo = (g_lo - mu) / sd
             t_hi = (g_hi - mu) / sd
-            for row in coefs * _stable_interval_mass(t_lo, t_hi):
+            for row in coefs * gaussian_interval_masses(t_lo, t_hi):
                 out += row
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
@@ -396,11 +387,6 @@ def series_terms(constant: float, rho: float, tol: float) -> float:
 def sample_marginal(dist: PushforwardDist, n: int, seed: int) -> np.ndarray:
     """n draws of scale * f(g1) + sigma * g2, deterministic given seed."""
     return dist.sample(n, seed, STREAM_MARGINAL)
-
-
-def density(dist: PushforwardDist, x):
-    """Density of the smoothed marginal at x; requires sigma > 0."""
-    return dist.density(x)
 
 
 def _gaussian_blocks(

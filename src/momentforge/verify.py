@@ -3,11 +3,14 @@
 The checks mirror what the construction promises: pushforward moments close
 to the Gaussian ones, a finite chi-squared divergence from N(0,1), pairwise
 correlations of hidden-direction laws decaying like cosine^(m+1), near-total
-TV separation between differently oriented copies, and Wasserstein-1
-bookkeeping for the flow.  Chi-squared and pairwise correlation are sums
-over the marginal's Hermite spectrum with a certified tail; TV reduces
-exactly to a 2-D integral over the plane spanned by the two directions,
-computed on feature-aligned panels with an embedded-order error estimate.
+TV separation between differently oriented copies, and a Wasserstein-1 bound
+on how far the flow moves the law.  Chi-squared is the 1-D integral of
+D'(x)^2 / phi(x) with a closed-form tail bound; the flow's W1 is the 1-D
+integral of |F_0 - F_T| over the two instances' exact CDFs; pairwise
+correlation is a sum over the marginal's Hermite spectrum with a certified
+tail; TV reduces exactly to a 2-D integral over the plane spanned by the two
+directions.  The integrals run on feature-aligned panels with an
+embedded-order error estimate.
 
 Every bound comparison is recorded with its margin and the error estimate of
 its value, and passes only if it holds after that error; the report is
@@ -22,8 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
-from .bumps import BumpInstance
+from .bumps import BumpInstance, instance_cdf
 from .distributions import (
     STREAM_SUPPORT,
     PushforwardDist,
@@ -33,9 +37,10 @@ from .distributions import (
 )
 from .errors import SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
-from .gaussian import gaussian_density, gaussian_moment
+from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
 from .integrate import (  # noqa: F401
+    ROUNDING_ULPS,
     Estimate,
     feature_breakpoints,
     panel_integrate_1d,
@@ -59,6 +64,7 @@ __all__ = [
     "pairwise_correlation",
     "tv_hidden_pair",
     "w1_empirical",
+    "w1_instances",
     "distance_to_support",
     "verify_instance",
 ]
@@ -103,14 +109,14 @@ def spectral_sum(dist: PushforwardDist, rho: float, tol_abs: float) -> SpectralS
 
 @dataclass(frozen=True)
 class ChiSquaredResult:
-    """chi^2(D', N(0,1)) as a spectral sum, plus the exp(c R^2)/sigma
+    """chi^2(D', N(0,1)) with its error estimate, plus the exp(c R^2)/sigma
     reference (reported only)."""
 
     value: float
+    error_estimate: float
     reference: float
     reference_constant: float
     support_radius: float
-    series: SpectralSum
 
 
 def chi_squared_vs_gaussian(
@@ -118,19 +124,47 @@ def chi_squared_vs_gaussian(
     tol_abs: float = 1e-8,
     reference_constant: float = 1.0,
 ) -> ChiSquaredResult:
-    """chi^2(D', N(0,1)) = sum_{k>=1} scale^(2k) a_k^2 to tol_abs."""
+    """chi^2(D', N(0,1)) = integral of D'(x)^2 / phi(x) dx - 1, to tol_abs
+    on the plane's panel breaks.  The error estimate is the integrator's
+    plus _chi_squared_tail's bound on the integral past the breaks."""
     if not 0.0 < dist.sigma <= 0.5:
         raise ValidationError("chi-squared check requires sigma in (0, 1/2]")
-    chi = spectral_sum(dist, dist.scale * dist.scale, tol_abs)
+    breaks = _plane_breaks(dist)
+
+    def integrand(x):
+        dens = dist.density(x)
+        return dens * dens / gaussian_density(x)
+
+    value, error = panel_integrate_1d(integrand, breaks, tol_abs)
     radius = dist.support_radius()
     reference = math.exp(reference_constant * radius * radius) / dist.sigma
     return ChiSquaredResult(
-        value=chi.value,
+        value=value - 1.0,
+        error_estimate=error + _chi_squared_tail(dist, float(breaks[-1])),
         reference=reference,
         reference_constant=reference_constant,
         support_radius=radius,
-        series=chi,
     )
+
+
+def _chi_squared_tail(dist: PushforwardDist, bound: float) -> float:
+    """Bound on the integral of D'(x)^2 / phi(x) over |x| > bound.
+
+    The identity marginal is N(0,1), whose tails hold 2 ndtr(-bound).  An
+    instance's D' mixes N(y, sigma^2) over y in [-R, R], R the support
+    radius, so D'(x) <= phi_sigma(s) at |x| = R + s, s > 0, and the integrand
+    is at most exp(-a s^2 + R s + R^2 / 2) / (sigma^2 sqrt(2 pi)) with
+    a = 1/sigma^2 - 1/2 > 0.  Completing the square over s > S = bound - R
+    gives, for both tails together,
+    2 sqrt(pi / a) exp(R^2/2 + R^2/(4a)) ndtr(-sqrt(2a) (S - R/(2a))) / (sigma^2 sqrt(2 pi)).
+    """
+    if dist.inst is None:
+        return 2.0 * float(ndtr(-bound))
+    radius, sigma = dist.support_radius(), dist.sigma
+    a = 1.0 / (sigma * sigma) - 0.5
+    shift = bound - radius - radius / (2.0 * a)
+    scale = math.exp(radius * radius * (0.5 + 0.25 / a)) / (sigma * sigma * SQRT_2PI)
+    return 2.0 * math.sqrt(math.pi / a) * scale * float(ndtr(-math.sqrt(2.0 * a) * shift))
 
 
 def _plane_breaks(dist: PushforwardDist, pad_sigmas: float = 10.0) -> np.ndarray:
@@ -203,6 +237,29 @@ def w1_empirical(samples_a, samples_b) -> float:
     qa = np.quantile(a, grid)
     qb = np.quantile(b, grid)
     return float(np.mean(np.abs(qa - qb)))
+
+
+def w1_instances(
+    a: BumpInstance, b: BumpInstance, tol_abs: float = 1e-10
+) -> Estimate:
+    """Wasserstein-1 distance between the unsmoothed pushforwards f_a(g) and
+    f_b(g), g ~ N(0,1), as the integral of |F_a - F_b| over the line
+    (Vallender 1973), with the integrator's error estimate.
+
+    Both CDFs are 0 below the lowest height or 0 and 1 above the highest, so
+    the integral runs between those, on panels broken at 0 and at every
+    height, where the CDFs jump; between breaks they are smooth.  A CDF value
+    adds three masses per bump to the outside mass, each within
+    ROUNDING_ULPS ulps of 1, and that rounding over the span joins the error.
+    """
+    breaks = np.unique(np.concatenate(([0.0], a.heights(), b.heights())))
+    value, error = panel_integrate_1d(
+        lambda t: np.abs(instance_cdf(a, t) - instance_cdf(b, t)), breaks, tol_abs
+    )
+    masses = 3 * (len(a.bumps) + len(b.bumps)) + 2
+    span = float(breaks[-1] - breaks[0])
+    rounding = ROUNDING_ULPS * float(np.finfo(float).eps) * masses * span
+    return Estimate(value, error + rounding)
 
 
 @dataclass(frozen=True)
@@ -278,7 +335,6 @@ class VerifyConfig:
     correlation_tol: float = 2e-8
     tv_tol: float = 1e-4
     chi_tol: float = 1e-8
-    w1_samples: int = 1_000_000
     support_samples: int = 100_000
     support_cosine: float = 0.5
     support_threshold_coef: float = 0.1
@@ -304,6 +360,7 @@ class VerificationReport:
     pairwise_corr: list[BoundCheck] = field(default_factory=list)
     tv_separation: list[BoundCheck] = field(default_factory=list)
     w1_flow_distance: float = math.nan
+    w1_flow_error: float = math.nan
     w1_flow_bound: float = math.nan
     w1_flow_passed: bool = False
     support_distance: SupportDistanceResult | None = None
@@ -362,7 +419,7 @@ def _quadrature_checks(
     with _recorded(report, "chi-squared"):
         report.chi_squared = chi_squared_vs_gaussian(dist, tol_abs=config.chi_tol)
         chi_value = report.chi_squared.value
-        chi_error = report.chi_squared.series.error_estimate
+        chi_error = report.chi_squared.error_estimate
         report.hermite_coefficients = dist.hermite_spectrum(evolved.m + 1)[1:].tolist()
 
     for cosine in config.correlation_cosines:
@@ -401,18 +458,6 @@ def _quadrature_checks(
     return chi_value
 
 
-def _flow_w1(
-    initial: BumpInstance, evolved: BumpInstance, config: VerifyConfig
-) -> float:
-    """Empirical W1 between the unsmoothed initial and evolved pushforwards."""
-    d0 = PushforwardDist.from_instance(initial, 0.0)
-    dt = PushforwardDist.from_instance(evolved, 0.0)
-    return w1_empirical(
-        d0.sample(config.w1_samples, config.seed),
-        dt.sample(config.w1_samples, config.seed + 1),
-    )
-
-
 def _support_distance(
     evolved: BumpInstance, config: VerifyConfig
 ) -> SupportDistanceResult:
@@ -449,14 +494,15 @@ def verify_instance(
     the others still run; a NumericGuardError (such as QuadratureError)
     propagates, as does any other exception.
 
-    The quadrature checks (moments to TV) run on one worker thread while
-    this thread runs the sampled ones, W1 and distance-to-support, on
-    distributions of their own.  The sampled checks' results and errors
-    are recorded after the quadrature checks, in the serial order, so the
-    report, the order of its errors and the exception that escapes do not
-    depend on the overlap.  The worker is joined before return.  The
-    sampled checks stay on this thread so that their sample arrays, the
-    largest allocations here, reuse the memory freed by earlier calls.
+    The checks on the smoothed marginal (moments to TV) run on one worker
+    thread while this thread computes the flow's W1 from the two instances'
+    CDFs and samples distance-to-support on a distribution of its own.
+    Their results and errors are recorded after the worker's, in the serial
+    order, so the report, the order of its errors and the exception that
+    escapes do not depend on the overlap.  The worker is joined before
+    return.  The sampled check stays on this thread so that its sample
+    arrays, the largest allocations here, reuse the memory freed by earlier
+    calls.
     """
     report = VerificationReport(m=evolved.m, config=config)
     dist = PushforwardDist.from_instance(evolved, config.sigma)
@@ -465,7 +511,7 @@ def verify_instance(
         quadrature = pool.submit(
             _quadrature_checks, report, dist, evolved, network, config
         )
-        w1_task = _settled(_flow_w1, initial, evolved, config)
+        w1_task = _settled(w1_instances, initial, evolved)
         support_task = _settled(_support_distance, evolved, config)
         chi_value = quadrature.result()
 
@@ -476,9 +522,10 @@ def verify_instance(
         )
         horizon = evolved.eps - initial.eps
         w1_bound = height_drift + 3.0 * evolved.m * horizon
-        report.w1_flow_distance = w1
+        report.w1_flow_distance = float(w1)
+        report.w1_flow_error = w1.error
         report.w1_flow_bound = w1_bound
-        report.w1_flow_passed = w1 <= w1_bound
+        report.w1_flow_passed = w1 + w1.error <= w1_bound
 
     with _recorded(report, "distance-to-support"):
         report.support_distance = support_task.result()
@@ -500,9 +547,10 @@ def verify_instance(
     # Query-count arithmetic, reported only: plugging the measured pairwise
     # correlation (gamma) and self-correlation (beta) into the generic
     # N * gamma / (beta - gamma) count, per packing vector (N left symbolic).
+    # The self-correlation chi_N(D_u, D_u) is chi^2(D_u, N) itself.
     if report.pairwise_corr and math.isfinite(chi_value):
         gamma = max(abs(c.value) for c in report.pairwise_corr)
-        beta = 2.0 * chi_value
+        beta = chi_value
         report.sq_query_formula = {
             "gamma": gamma,
             "beta": beta,

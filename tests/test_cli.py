@@ -35,6 +35,7 @@ from momentforge.distributions import STREAM_LATENT, rng_stream
 from momentforge.serialize import (
     instance_from_payload,
     load_json,
+    parse_float,
     parse_float_list,
 )
 
@@ -151,9 +152,21 @@ class TestVerify:
         assert main(["verify", str(built_m5)]) == 3
 
     def test_series_guard_exit_code(self, built_m5, capsys):
-        # At sigma = 1e-3 the certified chi^2 sum needs ~3.6e7 terms.
-        assert main(["verify", str(built_m5), "--sigma", "0.001"]) == 3
+        # At sigma = 1e-3 and cosine 0.999999 the certified correlation sum
+        # needs ~1.8e7 terms.
+        argv = ["verify", str(built_m5), "--sigma", "0.001", "--cosine", "0.999999"]
+        assert main(argv) == 3
         assert "K = " in capsys.readouterr().err
+
+    def test_narrow_sigma_certifies(self, built_m5, tmp_path):
+        # chi^2 is an exact-density integral, so sigma = 1e-3 needs no
+        # Hermite series beyond the correlation cosines'.
+        report_path = tmp_path / "report.json"
+        code = main(["verify", str(built_m5), "--sigma", "0.001", "--out", str(report_path)])
+        assert code == 0
+        report = load_json(report_path)["report"]
+        assert not report["errors"]
+        assert parse_float(report["chi_squared"]["error_estimate"]) <= 1e-8
 
 
 class TestExportAndSample:

@@ -1,5 +1,6 @@
-"""The marginal's Hermite spectrum and the three sums that read it: chi^2,
-pairwise correlation and adversarial SQ projection answers."""
+"""The marginal's Hermite spectrum and the sums that read it: pairwise
+correlation, adversarial SQ projection answers, and chi^2 as a cross-check
+of its exact-density integral."""
 
 import math
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
-from oracles import quadrature_chi_squared
 
 from momentforge import (
     HiddenDirectionDist,
@@ -16,13 +16,19 @@ from momentforge import (
     ProjectionQuery,
     PushforwardDist,
     SeriesTruncationError,
+    SlopeTarget,
     SqOracle,
     chi_squared_vs_gaussian,
+    evolve,
+    hermite_rule,
+    layout,
     pairwise_correlation,
+    reduce_rule,
 )
 from momentforge import verify as verify_module
 from momentforge.bumps import instance_pushforward_moment
-from momentforge.gaussian import gaussian_moment
+from momentforge.gaussian import gaussian_density, gaussian_moment
+from momentforge.integrate import panel_integrate_1d
 from momentforge.sq import _clipped_power
 
 property_settings = settings(max_examples=30, deadline=None, derandomize=True)
@@ -71,13 +77,38 @@ class TestSpectrum:
 
 
 class TestSpectralSums:
-    def test_chi_squared_matches_quadrature_oracle(self, dist5):
+    @pytest.mark.parametrize("m, eps0", [(5, 1e-6), (9, 1e-10), (13, 1e-12)])
+    def test_chi_squared_matches_spectral_sum(self, m, eps0):
+        # The exact-density integral against the Hermite series at
+        # rho = scale^2, on the CLI's builds (ramps widened to 1000 eps0).
         tol = 1e-8
-        want = quadrature_chi_squared(dist5, verify_module._plane_breaks(dist5, 8.0), tol)
-        result = chi_squared_vs_gaussian(dist5, tol_abs=tol)
-        assert result.value == pytest.approx(want, abs=tol)
-        assert result.series.tail_bound <= tol
-        assert result.series.tail_bound <= result.series.error_estimate <= 2 * tol
+        initial = layout(reduce_rule(hermite_rule(m)), eps0, 1e-4)
+        evolved, _ = evolve(initial, SlopeTarget(eps_target=1000.0 * eps0))
+        dist = PushforwardDist.from_instance(evolved, 0.05)
+        result = chi_squared_vs_gaussian(dist, tol_abs=tol)
+        series = verify_module.spectral_sum(dist, dist.scale**2, tol)
+        assert series.tail_bound <= tol
+        assert abs(result.value - series.value) <= series.error_estimate
+        assert 0.0 < result.error_estimate <= tol
+
+    def test_chi_squared_tail_bound_holds(self, dist5):
+        # Past R + 3 sigma the tail is measurable; the closed form must
+        # bound the integral there.  It puts all mass on the outermost atom,
+        # so it is loose by about 1 / p^2, p ~ 0.011 that atom's mass.
+        radius, sigma = dist5.support_radius(), dist5.sigma
+        near, far = radius + 3.0 * sigma, radius + 20.0 * sigma
+
+        def integrand(x):
+            dens = dist5.density(x)
+            return dens * dens / gaussian_density(x)
+
+        right, _ = panel_integrate_1d(integrand, np.linspace(near, far, 9), 1e-20)
+        left, _ = panel_integrate_1d(integrand, np.linspace(-far, -near, 9), 1e-20)
+        bound = verify_module._chi_squared_tail(dist5, near)
+        assert 0.0 < right + left <= bound <= 1e5 * (right + left)
+        # At the default breaks the tail is negligible.
+        edge = verify_module._plane_breaks(dist5)[-1]
+        assert verify_module._chi_squared_tail(dist5, edge) <= 1e-30
 
     def test_correlation_carries_its_error(self, dist5):
         value = pairwise_correlation(dist5, 0.1, tol_abs=2e-8)
@@ -92,7 +123,7 @@ class TestSpectralSums:
         _, evolved, _ = build5
         narrow = PushforwardDist.from_instance(evolved, 1e-3)
         with pytest.raises(SeriesTruncationError) as info:
-            chi_squared_vs_gaussian(narrow)
+            verify_module.spectral_sum(narrow, narrow.scale**2, 1e-8)
         assert info.value.terms > verify_module.SERIES_TERM_CEILING
         assert "K = " in str(info.value)
 

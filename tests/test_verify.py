@@ -1,4 +1,4 @@
-"""Divergence estimates, Wasserstein checks, and the full report."""
+"""Divergence estimates, Wasserstein distances, and the full report."""
 
 import json
 import math
@@ -21,8 +21,10 @@ from momentforge import (
     tv_hidden_pair,
     verify_instance,
     w1_empirical,
+    w1_instances,
 )
 from momentforge import verify as verify_module
+from momentforge.bumps import instance_cdf, instance_eval
 from momentforge.cli import _report_to_jsonable
 from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
 
@@ -230,6 +232,73 @@ class TestW1Empirical:
         assert w1 <= height_drift + 3.0 * evolved.m * horizon
 
 
+class TestInstanceCdf:
+    @pytest.mark.parametrize(
+        "ramp, zero_first",
+        [(None, False), (0.0, False), (0.05, False), (0.05, True)],
+        ids=["evolved", "ramp-free", "wide", "zero-height"],
+    )
+    def test_matches_empirical_cdf(self, build5, ramp, zero_first):
+        # At every height (both signs), at 0 and on a grid across them, the
+        # exact CDF sits within 5 binomial standard errors of the empirical
+        # CDF of f(g).
+        _, evolved, _ = build5
+        inst = evolved
+        if ramp is not None:
+            left = evolved.left_heights()
+            if zero_first:
+                left = np.concatenate(([0.0], left[1:]))
+            inst = evolved.with_state(left, ramp)
+        n = 400_000
+        values = np.sort(instance_eval(inst, np.random.default_rng(515).standard_normal(n)))
+        levels = np.unique(np.concatenate(([0.0], inst.heights())))
+        ts = np.concatenate(
+            (levels, np.linspace(levels[0] - 0.5, levels[-1] + 0.5, 41))
+        )
+        want = np.searchsorted(values, ts, side="right") / n
+        got = instance_cdf(inst, ts)
+        spread = np.sqrt(np.clip(got * (1.0 - got), 0.0, None) / n)
+        assert np.all(np.abs(got - want) <= 5.0 * spread + 1e-12)
+        assert instance_cdf(inst, float(levels[0])) == got[0]
+
+
+class TestW1Instances:
+    def test_self_distance_is_zero(self, build5):
+        _, evolved, _ = build5
+        w1 = w1_instances(evolved, evolved)
+        assert float(w1) == 0.0
+        assert 0.0 < w1.error <= 1e-12
+
+    def test_symmetric(self, build5):
+        initial, evolved, _ = build5
+        ab, ba = w1_instances(initial, evolved), w1_instances(evolved, initial)
+        assert float(ab) == float(ba)
+        assert ab.error == ba.error
+
+    @pytest.mark.parametrize("delta", [0.01, -0.02])
+    def test_ramp_free_height_shift(self, build5, delta):
+        # Moving h_0 by delta (and its mirror by -delta) with no crossing
+        # moves two plateau masses by |delta| each.
+        _, evolved, _ = build5
+        left = evolved.left_heights()
+        base = evolved.with_state(left, 0.0)
+        moved = evolved.with_state(left + np.eye(left.size)[0] * delta, 0.0)
+        want = 2.0 * base.bumps[0].plateau_mass * abs(delta)
+        w1 = w1_instances(base, moved)
+        assert abs(float(w1) - want) <= w1.error <= 1e-12
+
+    def test_flow_distance_at_the_default_build(self, build5):
+        # Sorted draws of f_0(g) and f_T(g) from one g sample estimate the
+        # same W1, within sampling noise of about 2% here.
+        initial, evolved, _ = build5
+        w1 = w1_instances(initial, evolved)
+        assert float(w1) == pytest.approx(3.0990e-3, rel=1e-4)
+        assert w1.error <= 1e-10
+        g = np.random.default_rng(616).standard_normal(1_000_000)
+        coupled = w1_empirical(instance_eval(initial, g), instance_eval(evolved, g))
+        assert coupled == pytest.approx(float(w1), rel=0.1)
+
+
 class TestDistanceToSupport:
     def test_aligned_ramp_free_matches_gap_mass(self, build5):
         _, evolved, _ = build5
@@ -303,7 +372,7 @@ class TestDistanceToSupport:
 class TestVerifyInstance:
     def test_full_report_passes(self, build5):
         initial, evolved, trace = build5
-        config = VerifyConfig(w1_samples=200_000, support_samples=50_000)
+        config = VerifyConfig(support_samples=50_000)
         report = verify_instance(
             initial, evolved, compile_instance(evolved), config, trace=trace
         )
@@ -319,8 +388,39 @@ class TestVerifyInstance:
         assert report.w1_flow_passed
         for check in report.pairwise_corr + report.tv_separation:
             assert 0.0 < check.error_estimate < check.margin
+        assert report.w1_flow_distance + report.w1_flow_error <= report.w1_flow_bound
+        assert 0.0 < report.w1_flow_error <= 1e-10
+        assert 0.0 < report.chi_squared.error_estimate <= config.chi_tol
         assert len(report.hermite_coefficients) == evolved.m + 1
         assert abs(report.hermite_coefficients[-1]) > 1e-4
+
+    def test_beta_is_chi_squared(self, build5):
+        # The self-correlation chi_N(D_u, D_u) is chi^2(D_u, N) itself.
+        initial, evolved, trace = build5
+        config = VerifyConfig(tv_cosines=(), support_samples=1_000)
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        formula = report.sq_query_formula
+        assert formula["beta"] == report.chi_squared.value
+        gamma = max(abs(c.value) for c in report.pairwise_corr)
+        assert formula["gamma"] == gamma
+        assert formula["queries_per_packing_vector"] == gamma / (formula["beta"] - gamma)
+
+    def test_a_w1_pass_must_survive_the_error(self, build5, monkeypatch):
+        # W1 under its bound fails once its error reaches the margin.
+        initial, evolved, trace = build5
+        horizon = evolved.eps - initial.eps
+        drift = float(np.max(np.abs(evolved.heights() - initial.heights())))
+        bound = drift + 3.0 * evolved.m * horizon
+
+        def uncertain(*args, **kwargs):
+            return verify_module.Estimate(0.5 * bound, bound)
+
+        monkeypatch.setattr(verify_module, "w1_instances", uncertain)
+        config = VerifyConfig(correlation_cosines=(), tv_cosines=(), support_samples=1_000)
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert report.w1_flow_distance < report.w1_flow_bound == bound
+        assert not report.w1_flow_passed
+        assert not report.all_passed()
 
     def test_a_pass_must_survive_the_error(self, build5, monkeypatch):
         # A value under its bound fails once its error reaches the margin.
@@ -332,7 +432,6 @@ class TestVerifyInstance:
         config = VerifyConfig(
             correlation_cosines=(0.1,),
             tv_cosines=(),
-            w1_samples=50_000,
             support_samples=20_000,
         )
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
@@ -347,7 +446,6 @@ class TestVerifyInstance:
         config = VerifyConfig(
             correlation_cosines=(0.1,),
             tv_cosines=(0.5,),
-            w1_samples=50_000,
             support_samples=20_000,
         )
         report = verify_instance(
@@ -378,7 +476,6 @@ class TestVerifyInstance:
         config = VerifyConfig(
             correlation_cosines=(0.1,),
             tv_cosines=(),
-            w1_samples=50_000,
             support_samples=20_000,
         )
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
@@ -389,7 +486,7 @@ class TestVerifyInstance:
     def test_report_equals_serial_checks(self, build5):
         initial, evolved, trace = build5
         network = compile_instance(evolved)
-        config = VerifyConfig(w1_samples=200_000, support_samples=50_000)
+        config = VerifyConfig(support_samples=50_000)
         got = verify_instance(initial, evolved, network, config, trace=trace)
         want = serial_verify_instance(initial, evolved, network, config, trace=trace)
         assert json.dumps(_report_to_jsonable(got)) == json.dumps(
@@ -403,19 +500,18 @@ class TestVerifyInstance:
 
             return failing
 
-        for name in ("pairwise_correlation", "w1_empirical", "distance_to_support"):
+        for name in ("pairwise_correlation", "w1_instances", "distance_to_support"):
             monkeypatch.setattr(verify_module, name, rejecting(name))
         initial, evolved, trace = build5
         config = VerifyConfig(
             correlation_cosines=(0.1,),
             tv_cosines=(),
-            w1_samples=50_000,
             support_samples=20_000,
         )
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         assert report.errors == [
             "pairwise correlation at 0.1: pairwise_correlation rejected",
-            "w1: w1_empirical rejected",
+            "w1: w1_instances rejected",
             "distance-to-support: distance_to_support rejected",
         ]
         assert report.vandermonde is not None
@@ -432,9 +528,9 @@ class TestVerifyInstance:
 
         monkeypatch.setattr(verify_module, "tv_hidden_pair", failing_tv)
         if w1_fails:
-            monkeypatch.setattr(verify_module, "w1_empirical", buggy_w1)
+            monkeypatch.setattr(verify_module, "w1_instances", buggy_w1)
         initial, evolved, trace = build5
-        config = VerifyConfig(correlation_cosines=(), w1_samples=1_000)
+        config = VerifyConfig(correlation_cosines=())
         threads = threading.active_count()
         with pytest.raises(QuadratureError):
             verify_instance(initial, evolved, compile_instance(evolved), config)
@@ -446,6 +542,6 @@ class TestVerifyInstance:
 
         monkeypatch.setattr(verify_module, "distance_to_support", buggy_support)
         initial, evolved, trace = build5
-        config = VerifyConfig(tv_cosines=(), w1_samples=1_000, support_samples=1_000)
+        config = VerifyConfig(tv_cosines=(), support_samples=1_000)
         with pytest.raises(TypeError, match="bug"):
             verify_instance(initial, evolved, compile_instance(evolved), config)
