@@ -14,7 +14,6 @@ from .bumps import (
     bump_moment,
     bump_moment_deps,
     bump_moment_dh,
-    instance_cdf,
     instance_eval,
     instance_pushforward_moment,
     layout,

@@ -28,7 +28,6 @@ from .gaussian import (
     ReducedRule,
     gaussian_density,
     gaussian_interval_mass,
-    gaussian_interval_masses,
     gaussian_moment,
     gaussian_quantile,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "BumpInstance",
     "bump_eval",
     "instance_eval",
-    "instance_cdf",
     "bump_law",
     "law_moment",
     "bump_moment",
@@ -280,38 +278,6 @@ def instance_eval(inst: BumpInstance, z):
         for b in inst.bumps:
             out = out + bump_eval(b, z)
     return float(out) if out.ndim == 0 else out
-
-
-def instance_cdf(inst: BumpInstance, t):
-    """P(f(g) <= t) for g ~ N(0,1) and the bump sum f, at t (scalar or array).
-
-    f is 0 off the supports, the height on a plateau, and height * s at the
-    ramp level s in [0, 1], which sits a distance ramp * (1 - s) outside the
-    plateau on either side.  So the mass is the outside mass where
-    t >= 0, each plateau's where t >= height, and per ramp the Gaussian mass
-    of the levels s <= t / height (s >= t / height for a negative height).
-    A height of 0 puts its whole support at 0.
-    """
-    t = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t)
-    supports = [gaussian_interval_mass(*b.support) for b in inst.bumps]
-    out = np.where(ts >= 0.0, 1.0 - sum(supports), 0.0)
-    for b, support in zip(inst.bumps, supports):
-        left, right = b.center - b.half_width, b.center + b.half_width
-        h, e = b.height, b.ramp
-        if h == 0.0:
-            out += np.where(ts >= 0.0, support, 0.0)
-            continue
-        out += np.where(ts >= h, b.plateau_mass, 0.0)
-        # The distance from the plateau of the level t / height.
-        r = e * (1.0 - np.clip(ts / h, 0.0, 1.0))
-        if h > 0.0:
-            pieces = ((left - e, left - r), (right + r, right + e))
-        else:
-            pieces = ((left - r, left), (right, right + r))
-        for lo, hi in pieces:
-            out += gaussian_interval_masses(lo, hi)
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:

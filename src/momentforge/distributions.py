@@ -24,13 +24,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .bumps import BumpInstance, instance_eval, instance_value_law, law_moment
 from .errors import ValidationError
 from .gaussian import (
     HERMITE_KAPPA,
     gaussian_interval_mass,
-    gaussian_interval_masses,
     gaussian_moment,
     hermite_rows,
 )
@@ -75,6 +75,14 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream)))
 
 
+def _stable_interval_mass(t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """ndtr(t_hi) - ndtr(t_lo), evaluated through whichever tail is stable."""
+    flip = t_lo > 0.0
+    lo = np.where(flip, -t_hi, t_lo)
+    hi = np.where(flip, -t_lo, t_hi)
+    return ndtr(hi) - ndtr(lo)
+
+
 @dataclass(frozen=True)
 class ProjectedLaw:
     """Law of coef * f(g1) + width * g2 for a piecewise-linear f.
@@ -82,7 +90,7 @@ class ProjectedLaw:
     atoms hold (value, latent mass) for the constant pieces of f including
     the off-support zero region; ramps hold rows (g_lo, g_hi, slope,
     intercept) for the linear pieces.  width must be positive for density
-    evaluation (width 0 leaves atoms unsmoothed).
+    evaluation (width 0 leaves atoms unsmoothed); cdf is for width 0.
     """
 
     coef: float
@@ -117,9 +125,36 @@ class ProjectedLaw:
             sd = self.width / np.sqrt(var)
             t_lo = (g_lo - mu) / sd
             t_hi = (g_hi - mu) / sd
-            for row in coefs * gaussian_interval_masses(t_lo, t_hi):
+            for row in coefs * _stable_interval_mass(t_lo, t_hi):
                 out += row
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+    def cdf(self, t):
+        """P(coef * f(g) <= t) at t (scalar or array); requires width 0.
+
+        Each atom counts whole where coef * value <= t.  A ramp counts the
+        part of its latent interval [g_lo, g_hi] on which
+        coef * (slope * g + intercept) <= t: the left end up to the level's
+        preimage for a rising ramp, the right end for a falling one, and all
+        or none of it for a flat one.
+        """
+        if self.width > 0.0:
+            raise ValidationError("cdf is for zero noise width only")
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        out = (ts[:, None] >= self.coef * self.atom_values) @ self.atom_masses
+        for g_lo, g_hi, slope, intercept in self.ramps:
+            rise = self.coef * slope
+            if rise == 0.0:
+                whole = gaussian_interval_mass(g_lo, g_hi)
+                out += np.where(ts >= self.coef * intercept, whole, 0.0)
+                continue
+            cut = np.clip((ts - self.coef * intercept) / rise, g_lo, g_hi)
+            if rise > 0.0:
+                out += _stable_interval_mass(np.full_like(cut, g_lo), cut)
+            else:
+                out += _stable_interval_mass(cut, np.full_like(cut, g_hi))
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def feature_points(self) -> np.ndarray:
         """Locations where the density has sigma-scale structure."""
@@ -197,8 +232,8 @@ class PushforwardDist:
 
     Built either from a bump instance or as the degenerate identity marginal
     (f = id), in which case the law is exactly N(0,1).  sigma = 0 is allowed
-    for sampling only; the unsmoothed law has atoms and refuses density
-    queries.
+    for sampling and the law's cdf; the unsmoothed law has atoms and refuses
+    density queries.
     """
 
     def __init__(self, inst: BumpInstance | None, sigma: float):
@@ -212,13 +247,10 @@ class PushforwardDist:
         if inst is not None:
             self._value_law = instance_value_law(inst)
             self._spectrum_rows = hermite_rows(self._value_law[0])
-        if sigma > 0.0:
-            if inst is None:
-                self._law = _identity_law(self.scale, self.sigma)
-            else:
-                self._law = _law_from_instance(inst, self.scale, self.sigma)
+        if inst is None:
+            self._law = _identity_law(self.scale, self.sigma)
         else:
-            self._law = None
+            self._law = _law_from_instance(inst, self.scale, self.sigma)
 
     @classmethod
     def from_instance(cls, inst: BumpInstance, sigma: float) -> "PushforwardDist":
@@ -231,8 +263,6 @@ class PushforwardDist:
 
     @property
     def law(self) -> ProjectedLaw:
-        if self._law is None:
-            raise ValidationError("sigma = 0 distribution has atoms; no density")
         return self._law
 
     def support_radius(self) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "gaussian_cdf",
     "gaussian_quantile",
     "gaussian_interval_mass",
-    "gaussian_interval_masses",
     "gaussian_moment",
     "double_factorial",
     "hermite_rows",
@@ -83,15 +82,6 @@ def gaussian_interval_mass(a: float, b: float) -> float:
     if a >= 0.0:
         return float(ndtr(-a) - ndtr(-b))
     return float(ndtr(b) - ndtr(a))
-
-
-def gaussian_interval_masses(lo, hi) -> np.ndarray:
-    """ndtr(hi) - ndtr(lo) elementwise, evaluated through whichever tail is
-    stable (the upper one where lo > 0)."""
-    flip = np.greater(lo, 0.0)
-    upper = np.where(flip, np.negative(lo), hi)
-    lower = np.where(flip, np.negative(hi), lo)
-    return ndtr(upper) - ndtr(lower)
 
 
 def double_factorial(n: int) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .bumps import BumpInstance, instance_cdf
+from .bumps import BumpInstance
 from .distributions import (
     STREAM_SUPPORT,
     PushforwardDist,
@@ -50,6 +50,8 @@ from .network import ReluNetwork1D
 
 # A spectral sum needing more terms than this raises SeriesTruncationError.
 SERIES_TERM_CEILING = 1_000_000
+# Absolute tolerance of the flow's W1 integral.
+W1_TOL = 1e-10
 
 __all__ = [
     "Estimate",
@@ -239,22 +241,23 @@ def w1_empirical(samples_a, samples_b) -> float:
     return float(np.mean(np.abs(qa - qb)))
 
 
-def w1_instances(
-    a: BumpInstance, b: BumpInstance, tol_abs: float = 1e-10
-) -> Estimate:
+def w1_instances(a: BumpInstance, b: BumpInstance) -> Estimate:
     """Wasserstein-1 distance between the unsmoothed pushforwards f_a(g) and
     f_b(g), g ~ N(0,1), as the integral of |F_a - F_b| over the line
-    (Vallender 1973), with the integrator's error estimate.
+    (Vallender 1973) to W1_TOL, with the integrator's error estimate.
 
-    Both CDFs are 0 below the lowest height or 0 and 1 above the highest, so
-    the integral runs between those, on panels broken at 0 and at every
-    height, where the CDFs jump; between breaks they are smooth.  A CDF value
-    adds three masses per bump to the outside mass, each within
-    ROUNDING_ULPS ulps of 1, and that rounding over the span joins the error.
+    F is ProjectedLaw.cdf of the sigma = 0 law.  Both CDFs are 0 below the
+    lowest height or 0 and 1 above the highest, so the integral runs between
+    those, on panels broken at 0 and at every height, where the CDFs jump;
+    between breaks they are smooth.  A CDF value sums 3 masses per bump
+    plus the outside mass, each within ROUNDING_ULPS ulps of 1, and that
+    rounding over the span joins the error.
     """
+    law_a = PushforwardDist.from_instance(a, 0.0).law
+    law_b = PushforwardDist.from_instance(b, 0.0).law
     breaks = np.unique(np.concatenate(([0.0], a.heights(), b.heights())))
     value, error = panel_integrate_1d(
-        lambda t: np.abs(instance_cdf(a, t) - instance_cdf(b, t)), breaks, tol_abs
+        lambda t: np.abs(law_a.cdf(t) - law_b.cdf(t)), breaks, W1_TOL
     )
     masses = 3 * (len(a.bumps) + len(b.bumps)) + 2
     span = float(breaks[-1] - breaks[0])

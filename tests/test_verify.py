@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 from oracles import meshgrid_correlation, per_row_tv, serial_verify_instance
+from scipy.special import ndtr
 
 from momentforge import (
     PushforwardDist,
@@ -24,7 +25,7 @@ from momentforge import (
     w1_instances,
 )
 from momentforge import verify as verify_module
-from momentforge.bumps import instance_cdf, instance_eval
+from momentforge.bumps import instance_eval
 from momentforge.cli import _report_to_jsonable
 from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
 
@@ -232,7 +233,7 @@ class TestW1Empirical:
         assert w1 <= height_drift + 3.0 * evolved.m * horizon
 
 
-class TestInstanceCdf:
+class TestLawCdf:
     @pytest.mark.parametrize(
         "ramp, zero_first",
         [(None, False), (0.0, False), (0.05, False), (0.05, True)],
@@ -256,10 +257,21 @@ class TestInstanceCdf:
             (levels, np.linspace(levels[0] - 0.5, levels[-1] + 0.5, 41))
         )
         want = np.searchsorted(values, ts, side="right") / n
-        got = instance_cdf(inst, ts)
+        law = PushforwardDist.from_instance(inst, 0.0).law
+        got = law.cdf(ts)
         spread = np.sqrt(np.clip(got * (1.0 - got), 0.0, None) / n)
         assert np.all(np.abs(got - want) <= 5.0 * spread + 1e-12)
-        assert instance_cdf(inst, float(levels[0])) == got[0]
+        assert law.cdf(float(levels[0])) == got[0]
+
+    def test_identity_law_is_the_normal_cdf(self):
+        ts = np.linspace(-9.0, 9.0, 37)
+        got = PushforwardDist.gaussian(0.0).law.cdf(ts)
+        assert np.allclose(got, ndtr(ts), rtol=1e-14, atol=1e-300)
+
+    def test_refuses_a_smoothed_law(self, build5):
+        _, evolved, _ = build5
+        with pytest.raises(ValidationError, match="zero noise width"):
+            PushforwardDist.from_instance(evolved, 0.05).law.cdf(0.0)
 
 
 class TestW1Instances:
