@@ -48,7 +48,6 @@ from .flow import (
 from .gaussian import (
     QuadratureRule,
     ReducedRule,
-    gaussian_cdf,
     gaussian_density,
     gaussian_quantile,
     hermite_rule,
@@ -60,7 +59,6 @@ from .network import (
     ReluUnit,
     SmoothedNetwork,
     compile_instance,
-    evaluate,
     lift,
     smooth_inner,
 )

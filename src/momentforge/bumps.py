@@ -230,10 +230,6 @@ class BumpInstance:
             return math.inf
         return float(np.max(np.abs(self.heights()))) / self.eps
 
-    def max_endpoint(self) -> float:
-        """Largest |center| + half_width + ramp (how far the supports reach)."""
-        return max(abs(b.center) + b.half_width + b.ramp for b in self.bumps)
-
     def support_gaps(self) -> np.ndarray:
         """Gaps between consecutive bump supports (positive while disjoint)."""
         ends = np.array([b.support[1] for b in self.bumps[:-1]])

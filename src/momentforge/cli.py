@@ -288,7 +288,6 @@ def network_from_payload(payload: dict):
             sigma=sigma,
             inner=inner,
             rotation=householder_rotation(v),
-            output_rows=tuple(range(d)),
         )
     raise ValidationError(f"unknown network kind {kind!r}")
 

@@ -187,10 +187,6 @@ class EvolutionTrace:
     def max_moment_drift(self) -> float:
         return float(max(np.max(r) for r in self.moment_residuals))
 
-    def max_height_drift(self) -> float:
-        first = self.heights[0]
-        return float(max(np.max(np.abs(h - first)) for h in self.heights))
-
 
 def _correct(
     state: BumpInstance, system: FlowSystem, mu0: np.ndarray, tol: float

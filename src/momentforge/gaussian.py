@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureRule",
     "ReducedRule",
     "gaussian_density",
-    "gaussian_cdf",
     "gaussian_quantile",
     "gaussian_interval_mass",
     "gaussian_moment",
@@ -55,13 +54,6 @@ def gaussian_density(x, variance: float = 1.0):
     if not np.all(np.isfinite(x)):
         raise ValidationError("non-finite input to gaussian_density")
     out = np.exp(-x * x / (2.0 * variance)) / (math.sqrt(variance) * SQRT_2PI)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_cdf(x):
-    """Standard normal CDF, accurate in both tails."""
-    x = np.asarray(x, dtype=float)
-    out = ndtr(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -136,10 +128,6 @@ class QuadratureRule:
         """
         vals = np.array(self.weights) * np.array(self.nodes) ** k
         return float(0.5 * np.sum(vals + vals[::-1]))
-
-    def node_separation(self) -> float:
-        """Smallest gap between adjacent nodes."""
-        return float(np.min(np.diff(np.array(self.nodes))))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "compile_instance",
     "smooth_inner",
     "lift",
-    "evaluate",
     "householder_rotation",
 ]
 
@@ -192,8 +191,7 @@ def householder_rotation(v: np.ndarray) -> np.ndarray:
 class LiftedNetwork:
     """Generator R^{d+1} -> R^d realizing the hidden-direction pushforward.
 
-    Output j is rotation[j, 0] * inner(z1, z2) + <rotation[j, 1:], z[3:]>;
-    `output_rows` repeats rows when the padding flag duplicated coordinates.
+    Output j is rotation[j, 0] * inner(z1, z2) + <rotation[j, 1:], z[3:]>.
     """
 
     d: int
@@ -201,7 +199,6 @@ class LiftedNetwork:
     sigma: float
     inner: SmoothedNetwork
     rotation: np.ndarray
-    output_rows: tuple[int, ...]
 
     def size_report(self) -> dict:
         """Per-coordinate size under both accounting conventions."""
@@ -224,8 +221,6 @@ class LiftedNetwork:
         fstar = _forward(self.inner.units, self.inner.linear, batch[:, :2])
         stacked = np.concatenate([fstar[:, None], batch[:, 2:]], axis=1)
         out = stacked @ self.rotation.T
-        if self.output_rows != tuple(range(self.d)):
-            out = out[:, list(self.output_rows)]
         return out[0] if z.ndim == 1 else out
 
 
@@ -235,13 +230,8 @@ def lift(
     d: int,
     v: np.ndarray,
     strict: bool = False,
-    pad_to: int | None = None,
 ) -> LiftedNetwork:
-    """Lift the 1-D network to the d-dimensional hidden-direction generator.
-
-    pad_to > d duplicates output coordinates cyclically, giving a generator
-    with larger output dimension and unchanged distributional content.
-    """
+    """Lift the 1-D network to the d-dimensional hidden-direction generator."""
     if d < 2:
         raise ValidationError("ambient dimension must be >= 2")
     v = np.asarray(v, dtype=float)
@@ -249,23 +239,4 @@ def lift(
         raise ValidationError(f"direction must have dimension {d}")
     rotation = householder_rotation(v)
     inner = smooth_inner(net, sigma, strict=strict)
-    rows = list(range(d))
-    if pad_to is not None:
-        if pad_to < d:
-            raise ValidationError("pad_to must be >= d")
-        rows += [i % d for i in range(pad_to - d)]
-    return LiftedNetwork(
-        d=d,
-        v=v,
-        sigma=sigma,
-        inner=inner,
-        rotation=rotation,
-        output_rows=tuple(rows),
-    )
-
-
-def evaluate(netlike, z):
-    """Forward-evaluate any of the network kinds at z."""
-    if isinstance(netlike, (ReluNetwork1D, SmoothedNetwork, LiftedNetwork)):
-        return netlike.eval(z)
-    raise ValidationError(f"cannot evaluate object of type {type(netlike).__name__}")
+    return LiftedNetwork(d=d, v=v, sigma=sigma, inner=inner, rotation=rotation)

@@ -20,7 +20,6 @@ self-contained and serializes to JSON.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -301,7 +300,9 @@ def distance_to_support(
     s = dist.sample(n, seed, stream=STREAM_SUPPORT)
     y = rng_stream(seed, STREAM_SUPPORT + 0x100).standard_normal(n)
     proj = hidden_projection(cosine, s, y)
-    dists = np.min(np.abs(proj[:, None] - comb[None, :]), axis=1)
+    dists = np.abs(proj - comb[0])
+    for c in comb[1:]:
+        np.minimum(dists, np.abs(proj - c), out=dists)
     exceed = float(np.mean(dists > threshold))
     return SupportDistanceResult(
         cosine=cosine,
@@ -400,15 +401,23 @@ def _recorded(report: VerificationReport, label: str):
         report.errors.append(f"{label}: {exc}")
 
 
-def _quadrature_checks(
-    report: VerificationReport,
-    dist: PushforwardDist,
+def verify_instance(
+    initial: BumpInstance,
     evolved: BumpInstance,
     network: ReluNetwork1D,
     config: VerifyConfig,
-) -> float:
-    """Record the moment, network, chi-squared, correlation and TV checks in
-    turn; returns chi-squared (inf when that check failed)."""
+    trace: EvolutionTrace | None = None,
+) -> VerificationReport:
+    """Run every check on one build's artifacts, in turn, in the order the
+    report records them.
+
+    A sub-check that raises ValidationError is recorded in the report and
+    the others still run; a NumericGuardError (such as QuadratureError)
+    propagates, as does any other exception.
+    """
+    report = VerificationReport(m=evolved.m, config=config)
+    dist = PushforwardDist.from_instance(evolved, config.sigma)
+
     with _recorded(report, "moments"):
         report.moment_errors = [
             abs(dist.moment(k) - gaussian_moment(k)) for k in range(1, evolved.m + 1)
@@ -458,68 +467,9 @@ def _quadrature_checks(
                     passed=value - bound >= value.error,
                 )
             )
-    return chi_value
-
-
-def _support_distance(
-    evolved: BumpInstance, config: VerifyConfig
-) -> SupportDistanceResult:
-    support_dist = PushforwardDist.from_instance(evolved, min(config.sigma, 0.01))
-    return distance_to_support(
-        support_dist,
-        config.support_cosine,
-        config.support_samples,
-        config.seed,
-        config.support_threshold_coef,
-    )
-
-
-def _settled(fn, *args) -> Future:
-    """A finished Future holding fn(*args) or the exception it raised."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-def verify_instance(
-    initial: BumpInstance,
-    evolved: BumpInstance,
-    network: ReluNetwork1D,
-    config: VerifyConfig,
-    trace: EvolutionTrace | None = None,
-) -> VerificationReport:
-    """Run every check on one build's artifacts.
-
-    A sub-check that raises ValidationError is recorded in the report and
-    the others still run; a NumericGuardError (such as QuadratureError)
-    propagates, as does any other exception.
-
-    The checks on the smoothed marginal (moments to TV) run on one worker
-    thread while this thread computes the flow's W1 from the two instances'
-    CDFs and samples distance-to-support on a distribution of its own.
-    Their results and errors are recorded after the worker's, in the serial
-    order, so the report, the order of its errors and the exception that
-    escapes do not depend on the overlap.  The worker is joined before
-    return.  The sampled check stays on this thread so that its sample
-    arrays, the largest allocations here, reuse the memory freed by earlier
-    calls.
-    """
-    report = VerificationReport(m=evolved.m, config=config)
-    dist = PushforwardDist.from_instance(evolved, config.sigma)
-
-    with ThreadPoolExecutor(1) as pool:
-        quadrature = pool.submit(
-            _quadrature_checks, report, dist, evolved, network, config
-        )
-        w1_task = _settled(w1_instances, initial, evolved)
-        support_task = _settled(_support_distance, evolved, config)
-        chi_value = quadrature.result()
 
     with _recorded(report, "w1"):
-        w1 = w1_task.result()
+        w1 = w1_instances(initial, evolved)
         height_drift = float(
             np.max(np.abs(evolved.heights() - initial.heights()))
         )
@@ -531,7 +481,14 @@ def verify_instance(
         report.w1_flow_passed = w1 + w1.error <= w1_bound
 
     with _recorded(report, "distance-to-support"):
-        report.support_distance = support_task.result()
+        support_dist = PushforwardDist.from_instance(evolved, min(config.sigma, 0.01))
+        report.support_distance = distance_to_support(
+            support_dist,
+            config.support_cosine,
+            config.support_samples,
+            config.seed,
+            config.support_threshold_coef,
+        )
 
     with _recorded(report, "vandermonde"):
         nodes = initial.left_heights() ** 2

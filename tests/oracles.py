@@ -3,8 +3,8 @@
 Each one computes the same quantity as a production path in the plainest
 form available: a Python loop where the library broadcasts, a full-grid
 quadrature where the library sums a Hermite series, libm pow
-where the library multiplies, one trial or check after another where the
-library runs them concurrently, a factor recomputed per row where the
+where the library multiplies, one trial after another where the library
+runs them concurrently, a factor recomputed per row where the
 library keeps it per sweep.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
@@ -26,7 +26,6 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
-from momentforge import verify
 from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
 from momentforge.errors import ValidationError
 from momentforge.gaussian import (
@@ -114,92 +113,6 @@ def per_row_tv(dist, cosine, breaks, tol_abs):
 
     overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
     return 1.0 - overlap, error
-
-
-def serial_verify_instance(initial, evolved, network, config, trace=None):
-    """verify.verify_instance with every check run in turn on the calling
-    thread, each sampled check on the distribution it builds."""
-    report = verify.VerificationReport(m=evolved.m, config=config)
-    dist = verify.PushforwardDist.from_instance(evolved, config.sigma)
-    recorded = verify._recorded
-
-    with recorded(report, "moments"):
-        report.moment_errors = [
-            abs(dist.moment(k) - verify.gaussian_moment(k))
-            for k in range(1, evolved.m + 1)
-        ]
-    report.slope_max = evolved.max_slope()
-    with recorded(report, "network"):
-        report.weight_bound = network.weight_bound
-
-    chi_value, chi_error = math.inf, math.inf
-    with recorded(report, "chi-squared"):
-        report.chi_squared = verify.chi_squared_vs_gaussian(dist, config.chi_tol)
-        chi_value = report.chi_squared.value
-        chi_error = report.chi_squared.error_estimate
-        report.hermite_coefficients = dist.hermite_spectrum(evolved.m + 1)[1:].tolist()
-
-    for cosine in config.correlation_cosines:
-        with recorded(report, f"pairwise correlation at {cosine}"):
-            value = verify.pairwise_correlation(dist, cosine, config.correlation_tol)
-            bound = verify._correlation_decay_bound(
-                cosine, evolved.m, chi_value, config.nu
-            )
-            error = value.error + abs(cosine) ** (evolved.m + 1) * chi_error
-            report.pairwise_corr.append(verify.BoundCheck(
-                "pairwise-correlation", cosine, float(value), bound, bound - value,
-                error, bound - value >= error,
-            ))
-
-    for cosine in config.tv_cosines:
-        with recorded(report, f"tv at {cosine}"):
-            value = verify.tv_hidden_pair(dist, cosine, tol_abs=config.tv_tol)
-            bound = verify._tv_separation_floor(config.sigma, config.tv_slack)
-            report.tv_separation.append(verify.BoundCheck(
-                "tv-separation", cosine, float(value), bound, value - bound,
-                value.error, value - bound >= value.error,
-            ))
-
-    with recorded(report, "w1"):
-        w1 = verify.w1_instances(initial, evolved)
-        drift = float(np.max(np.abs(evolved.heights() - initial.heights())))
-        w1_bound = drift + 3.0 * evolved.m * (evolved.eps - initial.eps)
-        report.w1_flow_distance = float(w1)
-        report.w1_flow_error = w1.error
-        report.w1_flow_bound = w1_bound
-        report.w1_flow_passed = w1 + w1.error <= w1_bound
-
-    with recorded(report, "distance-to-support"):
-        small_sigma = min(config.sigma, 0.01)
-        support_dist = verify.PushforwardDist.from_instance(evolved, small_sigma)
-        report.support_distance = verify.distance_to_support(
-            support_dist, config.support_cosine, config.support_samples, config.seed,
-            config.support_threshold_coef,
-        )
-
-    with recorded(report, "vandermonde"):
-        report.vandermonde = verify.vandermonde_sigma_check(
-            initial.left_heights() ** 2, constant=config.vandermonde_constant
-        )
-
-    if trace is not None and trace.sigma_mins:
-        report.sigma_min_summary = {
-            "min": float(min(trace.sigma_mins)),
-            "max": float(max(trace.sigma_mins)),
-            "final": float(trace.sigma_mins[-1]),
-            "max_moment_drift": trace.max_moment_drift(),
-        }
-    if report.pairwise_corr and math.isfinite(chi_value):
-        gamma = max(abs(c.value) for c in report.pairwise_corr)
-        beta = chi_value
-        report.sq_query_formula = {
-            "gamma": gamma,
-            "beta": beta,
-            "queries_per_packing_vector": (
-                gamma / (beta - gamma) if beta > gamma else math.inf
-            ),
-        }
-    return report
 
 
 def pow_monomial_values(coords, query):

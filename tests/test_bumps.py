@@ -367,7 +367,8 @@ class TestLayout:
         reduced = reduce_rule(hermite_rule(m))
         inst = layout(reduced, EPS0_FOR_ORDER[m], 1e-4)
         tail = -gaussian_quantile(reduced.gap_mass / m)
-        assert inst.max_endpoint() <= tail + 2 * inst.eps + 1e-12
+        reach = max(abs(b.center) + b.half_width + b.ramp for b in inst.bumps)
+        assert reach <= tail + 2 * inst.eps + 1e-12
 
 
 class TestInstanceEval:

@@ -15,7 +15,6 @@ from momentforge import (
     ValidationError,
     bump_eval,
     compile_instance,
-    evaluate,
     hermite_rule,
     instance_eval,
     layout,
@@ -195,19 +194,6 @@ class TestLift:
         assert sizes["inner_relu_units_strict"] == 4 * (evolved.m - 1) + 2
         assert sizes["per_coordinate_pure_relu"] == 4 * (evolved.m - 1) + 4
 
-    def test_padding_duplicates_coordinates(self, build5, rng):
-        _, evolved, _ = build5
-        net = compile_instance(evolved)
-        d = 4
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lifted = lift(net, 0.05, d, v, pad_to=7)
-        z = rng.standard_normal((20, d + 1))
-        out = lifted.eval(z)
-        assert out.shape == (20, 7)
-        assert np.array_equal(out[:, 4], out[:, 0])
-        assert np.array_equal(out[:, 6], out[:, 2])
-
     def test_non_unit_direction_rejected(self, build5):
         _, evolved, _ = build5
         net = compile_instance(evolved)
@@ -242,19 +228,15 @@ class TestLift:
 class TestEvaluate:
     def test_empty_network(self):
         net = ReluNetwork1D(units=())
-        assert evaluate(net, 0.7) == 0.0
+        assert net.eval(0.7) == 0.0
 
     def test_single_unit_cutoff(self):
         net = ReluNetwork1D(units=(ReluUnit(sign=1, weights=(1.0,), bias=0.0),))
-        assert evaluate(net, -3.0) == 0.0
-        assert evaluate(net, 2.0) == 2.0
+        assert net.eval(-3.0) == 0.0
+        assert net.eval(2.0) == 2.0
 
     def test_dimension_mismatch(self, build5):
         _, evolved, _ = build5
         lifted = lift(compile_instance(evolved), 0.05, 3, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValidationError):
             lifted.eval(np.zeros(3))
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValidationError):
-            evaluate(object(), 1.0)

@@ -1,12 +1,11 @@
 """Divergence estimates, Wasserstein distances, and the full report."""
 
-import json
 import math
 import threading
 
 import numpy as np
 import pytest
-from oracles import meshgrid_correlation, per_row_tv, serial_verify_instance
+from oracles import meshgrid_correlation, per_row_tv
 from scipy.special import ndtr
 
 from momentforge import (
@@ -26,7 +25,6 @@ from momentforge import (
 )
 from momentforge import verify as verify_module
 from momentforge.bumps import instance_eval
-from momentforge.cli import _report_to_jsonable
 from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
 
 
@@ -495,15 +493,31 @@ class TestVerifyInstance:
         assert not report.all_passed()
         assert report.vandermonde is not None
 
-    def test_report_equals_serial_checks(self, build5):
-        initial, evolved, trace = build5
-        network = compile_instance(evolved)
-        config = VerifyConfig(support_samples=50_000)
-        got = verify_instance(initial, evolved, network, config, trace=trace)
-        want = serial_verify_instance(initial, evolved, network, config, trace=trace)
-        assert json.dumps(_report_to_jsonable(got)) == json.dumps(
-            _report_to_jsonable(want)
+    def test_checks_run_on_the_calling_thread(self, build5, monkeypatch):
+        calls = []
+
+        def recording(name):
+            original = getattr(verify_module, name)
+
+            def passthrough(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return original(*args, **kwargs)
+
+            return passthrough
+
+        names = (
+            "chi_squared_vs_gaussian",
+            "tv_hidden_pair",
+            "w1_instances",
+            "distance_to_support",
         )
+        for name in names:
+            monkeypatch.setattr(verify_module, name, recording(name))
+        initial, evolved, trace = build5
+        config = VerifyConfig(correlation_cosines=(), support_samples=1_000)
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert not report.errors
+        assert calls == [(name, threading.get_ident()) for name in names]
 
     def test_errors_recorded_in_serial_order(self, build5, monkeypatch):
         def rejecting(label):
@@ -530,8 +544,8 @@ class TestVerifyInstance:
 
     @pytest.mark.parametrize("w1_fails", [False, True])
     def test_no_thread_outlives_a_quadrature_error(self, build5, monkeypatch, w1_fails):
-        # TV fails on the worker: its error reaches the caller, ahead of a
-        # later check's bug as in the serial order, and the worker is gone.
+        # TV's error reaches the caller ahead of a later check's bug, and no
+        # thread is left behind.
         def failing_tv(*args, **kwargs):
             raise QuadratureError(achieved=1e-3, target=1e-4)
 
