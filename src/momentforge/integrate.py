@@ -19,7 +19,7 @@ nodes of all listed last-axis panels (every panel at first, then one box
 with its split side halved).  Within one sweep (the first one, or one
 refinement), every row of an order gets the same last-axis node array
 object, so an integrand may compute a factor of the last coordinate, like
-D(x') in the verification integrand, once per sweep and order by keeping
+L(x') in the verification integrand, once per sweep and order by keeping
 it for that object; a factor of a leading coordinate is computed per row.
 
 An integrand may add a trailing output axis, one entry per row of a

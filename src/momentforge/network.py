@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpInstance, instance_eval
+from .bumps import BumpInstance
 from .errors import ValidationError
 
 __all__ = [

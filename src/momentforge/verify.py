@@ -34,11 +34,11 @@ from .distributions import (
     rng_stream,
     series_terms,
 )
-from .errors import SeriesTruncationError, ValidationError
+from .errors import NumericGuardError, SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
-from .integrate import (  # noqa: F401
+from .integrate import (
     ROUNDING_ULPS,
     Estimate,
     feature_breakpoints,
@@ -51,6 +51,8 @@ from .network import ReluNetwork1D
 SERIES_TERM_CEILING = 1_000_000
 # Absolute tolerance of the flow's W1 integral.
 W1_TOL = 1e-10
+# exp(t^2 / 2), and so the likelihood ratio D/phi, overflows past this |t|.
+RATIO_REACH = math.sqrt(2.0 * math.log(np.finfo(float).max))
 
 __all__ = [
     "Estimate",
@@ -192,33 +194,44 @@ def pairwise_correlation(
 def tv_hidden_pair(
     dist: PushforwardDist, cosine: float, tol_abs: float = 1e-4
 ) -> Estimate:
-    """Total variation distance between P_v and P_v' at the given cosine.
+    """Total variation distance between P_v and P_v' at the given cosine c.
 
-    Equals 1 minus the overlap integral of the two plane densities; the
-    orthogonal complement factorizes away exactly.  The Estimate carries the
-    integrator's error estimate.
+    The orthogonal complement factorizes away exactly.  On the plane, each
+    law's density is L = D/phi of its own coordinate times the bivariate
+    normal density phi_2(x, x'; c), so TV = 1 - E_{N_2(c)}[min(L(X), L(X'))].
+    The Estimate carries the integrator's error estimate.
     """
     if not abs(cosine) < 1.0:
         raise ValidationError("cosine must satisfy |cosine| < 1")
     if dist.sigma <= 0.0:
         raise ValidationError("TV reduction requires sigma > 0")
-    theta = math.acos(cosine)
-    sin_t = math.sin(theta)
+    sin_t = math.sin(math.acos(cosine))
     breaks = _plane_breaks(dist)
+    if breaks[-1] > RATIO_REACH:
+        raise NumericGuardError(
+            f"TV plane reaches |x| = {breaks[-1]:.4g}; D/phi overflows past {RATIO_REACH:.4g}"
+        )
+    inv = -0.5 / (sin_t * sin_t)
+
+    def ratio(t):
+        # L(t) / (2 pi sin theta), phi_2's constant folded in.
+        return dist.density(t) * np.exp(0.5 * t * t) / (SQRT_2PI * sin_t)
+
     # The rows of one order in a sweep share one last-axis node array (see
-    # integrate.py), so D(x') is kept for the last array seen.  Holding the
+    # integrate.py), so L(x') is kept for the last array seen.  Holding the
     # array keeps its identity from being reused by a later one.
     last = [None, None]
 
     def integrand(gx, gxp):
         if last[0] is not gxp:
-            last[:] = gxp, dist.density(gxp)
-        x, xp = gx[:, None], gxp[None, :]
-        y = (xp - x * cosine) / sin_t
-        yp = (xp * cosine - x) / sin_t
-        first = dist.density(gx)[:, None] * gaussian_density(y)
-        second = last[1][None, :] * gaussian_density(yp)
-        return np.minimum(first, second) / sin_t
+            last[:] = gxp, ratio(gxp)
+        # exp(-(x^2 - 2c x x' + x'^2) / (2 sin^2 theta)) <= 1 cannot overflow.
+        grid = np.multiply.outer(gx * (-2.0 * cosine * inv), gxp)
+        grid += (gx * gx * inv)[:, None]
+        grid += gxp * gxp * inv
+        np.exp(grid, out=grid)
+        grid *= np.minimum(ratio(gx)[:, None], last[1])
+        return grid
 
     overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
     return Estimate(1.0 - overlap, error)

@@ -5,7 +5,8 @@ form available: a Python loop where the library broadcasts, a full-grid
 quadrature where the library sums a Hermite series, libm pow
 where the library multiplies, one trial after another where the library
 runs them concurrently, a factor recomputed per row where the
-library keeps it per sweep.
+library keeps it per sweep, two Gaussian kernels where the library uses
+one likelihood ratio.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -99,8 +100,30 @@ def meshgrid_correlation(dist, cosine, breaks, tol_abs):
 
 
 def per_row_tv(dist, cosine, breaks, tol_abs):
-    """verify.tv_hidden_pair's (value, error) with D(x) and D(x') both
+    """verify.tv_hidden_pair's (value, error) with L(x) and L(x') both
     recomputed on every row of the panel sweep."""
+    sin_t = math.sin(math.acos(cosine))
+    inv = -0.5 / (sin_t * sin_t)
+
+    def ratio(t):
+        return dist.density(t) * np.exp(0.5 * t * t) / (SQRT_2PI * sin_t)
+
+    def integrand(gx, gxp):
+        grid = np.multiply.outer(gx * (-2.0 * cosine * inv), gxp)
+        grid += (gx * gx * inv)[:, None]
+        grid += gxp * gxp * inv
+        np.exp(grid, out=grid)
+        grid *= np.minimum(ratio(gx)[:, None], ratio(gxp))
+        return grid
+
+    overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
+    return 1.0 - overlap, error
+
+
+def kernel_pair_tv(dist, cosine, breaks, tol_abs):
+    """TV between P_v and P_v' as the overlap of the two plane densities,
+    min(D(x) phi(y), D(x') phi(y')) / sin theta with y, y' the coordinates
+    orthogonal to x and x'; D and both Gaussian kernels on every row."""
     sin_t = math.sin(math.acos(cosine))
 
     def integrand(gx, gxp):

@@ -151,6 +151,13 @@ class TestVerify:
         monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
         assert main(["verify", str(built_m5)]) == 3
 
+    def test_tv_ratio_guard_exit_code(self, built_m5, capsys, monkeypatch):
+        monkeypatch.setattr(
+            verify_module, "_plane_breaks", lambda dist: np.array([-40.0, 40.0])
+        )
+        assert main(["verify", str(built_m5)]) == 3
+        assert "D/phi overflows past 37.68" in capsys.readouterr().err
+
     def test_series_guard_exit_code(self, built_m5, capsys):
         # At sigma = 1e-3 and cosine 0.999999 the certified correlation sum
         # needs ~1.8e7 terms.

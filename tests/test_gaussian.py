@@ -12,7 +12,7 @@ from oracles import (
     truncated_moment,
 )
 from scipy import integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from momentforge import (
     QuadratureRule,

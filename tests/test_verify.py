@@ -5,10 +5,11 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import meshgrid_correlation, per_row_tv
+from oracles import kernel_pair_tv, meshgrid_correlation, per_row_tv
 from scipy.special import ndtr
 
 from momentforge import (
+    NumericGuardError,
     PushforwardDist,
     QuadratureError,
     ValidationError,
@@ -16,6 +17,7 @@ from momentforge import (
     chi_squared_vs_gaussian,
     compile_instance,
     distance_to_support,
+    gaussian_density,
     pairwise_correlation,
     sample_marginal,
     tv_hidden_pair,
@@ -137,6 +139,55 @@ class TestTvHiddenPair:
         tv = tv_hidden_pair(dist, cosine, tol_abs=1e-4)
         assert float(tv) == value
         assert tv.error == error
+
+    @pytest.mark.parametrize(
+        "marginal, sigma, cosine",
+        [("m5", sigma, cosine) for sigma in (0.05, 0.01) for cosine in (-0.5, 0.1, 0.5, 0.9)]
+        + [("gaussian", 0.05, cosine) for cosine in (0.0, 0.3, 0.5)],
+    )
+    def test_agrees_with_kernel_pair_form(self, build5, marginal, sigma, cosine):
+        _, evolved, _ = build5
+        if marginal == "m5":
+            dist = PushforwardDist.from_instance(evolved, sigma)
+        else:
+            dist = PushforwardDist.gaussian(sigma)
+        breaks = verify_module._plane_breaks(dist)
+        value, error = kernel_pair_tv(dist, cosine, breaks, 1e-4)
+        tv = tv_hidden_pair(dist, cosine, tol_abs=1e-4)
+        assert abs(float(tv) - value) <= 1e-15
+        if error < 1e-8:
+            assert abs(tv.error - error) <= 1e-15
+        else:
+            assert tv.error == pytest.approx(error, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cosine", [-0.9, 0.1, 0.5])
+    def test_likelihood_ratio_times_bivariate_normal_is_each_plane_density(
+        self, dist5, cosine
+    ):
+        # P_v's plane density is D(x) phi(y) / s with y = (x' - c x) / s and
+        # P_v''s is D(x') phi(y') / s with y' = (x - c x') / s; each equals
+        # L(x) or L(x') times phi_2(x, x'; c), so their minimum is
+        # min(L(x), L(x')) phi_2, the integrand of tv_hidden_pair.
+        s = math.sin(math.acos(cosine))
+        t = np.linspace(-4.0, 4.0, 50)
+        x, xp = t[:, None], t[None, :]
+        dens = dist5.density(t)
+        ratio = dens / gaussian_density(t)
+        phi2 = np.exp(-(x * x - 2.0 * cosine * x * xp + xp * xp) / (2.0 * s * s)) / (
+            2.0 * math.pi * s
+        )
+        first = dens[:, None] * gaussian_density((xp - cosine * x) / s) / s
+        second = dens[None, :] * gaussian_density((x - cosine * xp) / s) / s
+        np.testing.assert_allclose(ratio[:, None] * phi2, first, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(ratio[None, :] * phi2, second, rtol=1e-13, atol=0.0)
+
+    def test_ratio_overflow_guarded(self, dist5, monkeypatch):
+        # exp(t^2 / 2) is inf past |t| = 37.68, and D(t) * inf would be NaN.
+        monkeypatch.setattr(
+            verify_module, "_plane_breaks", lambda dist: np.array([-40.0, 40.0])
+        )
+        with pytest.raises(NumericGuardError, match="overflows past 37.68"):
+            tv_hidden_pair(dist5, 0.5)
 
     def test_last_axis_density_once_per_sweep_and_order(self, dist5, monkeypatch):
         # Every row of one order in a sweep shares one last-axis node array;
