@@ -23,7 +23,6 @@ from .distributions import (
     PushforwardDist,
     generate_directions,
     sample_hidden,
-    sample_marginal,
     sample_null,
 )
 from .errors import (

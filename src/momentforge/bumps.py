@@ -259,9 +259,6 @@ class BumpInstance:
             fs += [0.0, b.height, b.height, 0.0]
         return np.array(xs), np.array(fs)
 
-    def eval(self, z):
-        return instance_eval(self, z)
-
 
 def instance_eval(inst: BumpInstance, z):
     """Evaluate the bump sum at z; 0 between and outside supports."""

@@ -33,7 +33,14 @@ from .distributions import (
 from .errors import NumericGuardError, ValidationError
 from .flow import EvolutionTrace, SlopeTarget, evolve
 from .gaussian import hermite_rule, reduce_rule
-from .network import LiftedNetwork, ReluNetwork1D, ReluUnit, compile_instance, lift
+from .network import (
+    LiftedNetwork,
+    ReluUnit,
+    SmoothedNetwork,
+    compile_instance,
+    householder_rotation,
+    lift,
+)
 from .serialize import (
     SCHEMA,
     dump_json,
@@ -233,34 +240,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _network_payload(net) -> dict:
-    if isinstance(net, ReluNetwork1D):
-        return {
-            "schema": SCHEMA,
-            "kind": "relu1d",
-            "units": [
-                {"s": u.sign, "w": fnum_list(u.weights), "b": fnum(u.bias)}
-                for u in net.units
-            ],
-        }
-    if isinstance(net, LiftedNetwork):
-        return {
-            "schema": SCHEMA,
-            "kind": "lifted",
-            "units": [
-                {"s": u.sign, "w": fnum_list(u.weights), "b": fnum(u.bias)}
-                for u in net.inner.units
-            ],
-            "linear": fnum_list(net.inner.linear),
-            "sigma": fnum(net.sigma),
-            "v": fnum_list(net.v),
-            "d": net.d,
-        }
-    raise ValidationError(f"cannot serialize network of type {type(net).__name__}")
+def _network_payload(net: LiftedNetwork) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "lifted",
+        "units": [
+            {"s": u.sign, "w": fnum_list(u.weights), "b": fnum(u.bias)}
+            for u in net.inner.units
+        ],
+        "linear": fnum_list(net.inner.linear),
+        "sigma": fnum(net.sigma),
+        "v": fnum_list(net.v),
+        "d": net.d,
+    }
 
 
-def network_from_payload(payload: dict):
+def network_from_payload(payload: dict) -> LiftedNetwork:
     kind = payload.get("kind")
+    if kind != "lifted":
+        raise ValidationError(f"unknown network kind {kind!r}")
     units = tuple(
         ReluUnit(
             sign=int(u["s"]),
@@ -269,27 +267,14 @@ def network_from_payload(payload: dict):
         )
         for u in payload["units"]
     )
-    if kind == "relu1d":
-        return ReluNetwork1D(units=units)
-    if kind == "lifted":
-        from .network import SmoothedNetwork, householder_rotation
-
-        sigma = parse_float(payload["sigma"])
-        v = np.array(parse_float_list(payload["v"]))
-        d = int(payload["d"])
-        inner = SmoothedNetwork(
-            units=units,
-            linear=tuple(parse_float_list(payload["linear"])),
-            sigma=sigma,
-        )
-        return LiftedNetwork(
-            d=d,
-            v=v,
-            sigma=sigma,
-            inner=inner,
-            rotation=householder_rotation(v),
-        )
-    raise ValidationError(f"unknown network kind {kind!r}")
+    sigma = parse_float(payload["sigma"])
+    v = np.array(parse_float_list(payload["v"]))
+    inner = SmoothedNetwork(
+        units=units, linear=tuple(parse_float_list(payload["linear"])), sigma=sigma
+    )
+    return LiftedNetwork(
+        d=int(payload["d"]), v=v, sigma=sigma, inner=inner, rotation=householder_rotation(v)
+    )
 
 
 def _check_dimension(d: int) -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "ProjectedLaw",
     "PushforwardDist",
     "HiddenDirectionDist",
-    "sample_marginal",
     "sample_hidden",
     "sample_null",
     "hidden_blocks",
@@ -62,6 +61,9 @@ STREAM_ORACLE = 6
 STREAM_DIRECTION = 0x45  # a seeded random hidden direction
 STREAM_TRIAL_DIRECTION = 0x46  # a distinguisher trial's hidden direction
 STREAM_LATENT = 0x5A  # the latent inputs z of a lifted network
+
+# Integration bounds reach this many noise widths past the farthest feature.
+TAIL_SIGMAS = 10.0
 
 # Values per block, at most, when samples are drawn a block of rows at a
 # time; the last block also takes the remainder.
@@ -161,19 +163,13 @@ class ProjectedLaw:
         pts = [self.coef * v for v in np.atleast_1d(self.atom_values)]
         for g_lo, g_hi, slope, intercept in self.ramps:
             for g in (g_lo, g_hi):
-                if math.isfinite(g):
-                    pts.append(self.coef * (slope * g + intercept))
-        return np.unique(np.asarray(pts, dtype=float)) if pts else np.array([0.0])
+                pts.append(self.coef * (slope * g + intercept))
+        return np.unique(np.asarray(pts, dtype=float))
 
-    def integration_bound(self, tail_sigmas: float = 10.0) -> float:
+    def integration_bound(self) -> float:
         """Half-width of an interval carrying all but a negligible mass."""
-        reach = [abs(self.coef * v) for v in np.atleast_1d(self.atom_values)]
-        for g_lo, g_hi, slope, intercept in self.ramps:
-            for g in (g_lo, g_hi):
-                g_eff = math.copysign(min(abs(g), 12.0), g)
-                reach.append(abs(self.coef * (slope * g_eff + intercept)))
-        base = max(reach) if reach else 0.0
-        return base + tail_sigmas * max(self.width, 1e-6)
+        reach = float(np.max(np.abs(self.feature_points())))
+        return reach + TAIL_SIGMAS * max(self.width, 1e-6)
 
     def panel_breaks(self, jumps=()) -> np.ndarray:
         """Panel edges aligned with this law's features and the integrand's
@@ -216,27 +212,15 @@ def _law_from_instance(inst: BumpInstance, coef: float, width: float) -> Project
     )
 
 
-def _identity_law(coef: float, width: float) -> ProjectedLaw:
-    ramp = np.array([[-math.inf, math.inf, 1.0, 0.0]])
-    return ProjectedLaw(
-        coef=coef,
-        width=width,
-        atom_values=np.empty(0),
-        atom_masses=np.empty(0),
-        ramps=ramp,
-    )
-
-
 class PushforwardDist:
-    """Distribution of sqrt(1-sigma^2) f(N(0,1)) + sigma N(0,1).
+    """Distribution of sqrt(1-sigma^2) f(N(0,1)) + sigma N(0,1) for the
+    piecewise-linear f of a bump instance.
 
-    Built either from a bump instance or as the degenerate identity marginal
-    (f = id), in which case the law is exactly N(0,1).  sigma = 0 is allowed
-    for sampling and the law's cdf; the unsmoothed law has atoms and refuses
-    density queries.
+    sigma = 0 is allowed for sampling and the law's cdf; the unsmoothed law
+    has atoms and refuses density queries.
     """
 
-    def __init__(self, inst: BumpInstance | None, sigma: float):
+    def __init__(self, inst: BumpInstance, sigma: float):
         if not 0.0 <= sigma < 1.0:
             raise ValidationError(f"sigma must lie in [0,1), got {sigma}")
         self.inst = inst
@@ -244,42 +228,26 @@ class PushforwardDist:
         self.scale = math.sqrt(1.0 - sigma * sigma)
         self._spectrum: list[float] = []
         self._moments: dict[int, float] = {}
-        if inst is not None:
-            self._value_law = instance_value_law(inst)
-            self._spectrum_rows = hermite_rows(self._value_law[0])
-        if inst is None:
-            self._law = _identity_law(self.scale, self.sigma)
-        else:
-            self._law = _law_from_instance(inst, self.scale, self.sigma)
+        self._value_law = instance_value_law(inst)
+        self._spectrum_rows = hermite_rows(self._value_law[0])
+        self._law = _law_from_instance(inst, self.scale, self.sigma)
 
     @classmethod
     def from_instance(cls, inst: BumpInstance, sigma: float) -> "PushforwardDist":
         return cls(inst, sigma)
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "PushforwardDist":
-        """Identity marginal: the pushforward is exactly N(0,1)."""
-        return cls(None, sigma)
 
     @property
     def law(self) -> ProjectedLaw:
         return self._law
 
     def support_radius(self) -> float:
-        """Largest |scale * height|; 0 for the identity marginal (the comb
-        degenerates to the origin)."""
-        if self.inst is None:
-            return 0.0
+        """Largest |scale * height|."""
         return self.scale * float(np.max(np.abs(self.inst.heights())))
 
-    def integration_bound(self, tail_sigmas: float = 10.0) -> float:
-        if self.inst is None:
-            return 10.0 + tail_sigmas * self.sigma
-        return self.support_radius() + tail_sigmas * self.sigma
+    def integration_bound(self) -> float:
+        return self.support_radius() + TAIL_SIGMAS * self.sigma
 
     def feature_points(self) -> np.ndarray:
-        if self.inst is None:
-            return np.array([0.0])
         return self.law.feature_points()
 
     def density(self, x):
@@ -287,8 +255,6 @@ class PushforwardDist:
 
     def latent_eval(self, g):
         """f(g) for the underlying piecewise-linear map."""
-        if self.inst is None:
-            return np.asarray(g, dtype=float)
         return instance_eval(self.inst, g)
 
     def moment(self, k: int) -> float:
@@ -303,8 +269,6 @@ class PushforwardDist:
     def _moment(self, k: int) -> float:
         if k == 0:
             return 1.0
-        if self.inst is None:
-            return gaussian_moment(k)
         total = 0.0
         for j in range(0, k + 1, 2):
             inner = k - j
@@ -324,12 +288,10 @@ class PushforwardDist:
 
         By the Mehler identity c f(g1) + sqrt(1 - c^2) g2 has the density
         phi(t) sum_k c^k a_k h_k(t) for |c| < 1.  a_1..a_m sit at the
-        moment-residual level.  The identity marginal has a_k = 0 for k >= 1.
+        moment-residual level.
         """
         if terms < 0:
             raise ValidationError("spectrum length must be nonnegative")
-        if self.inst is None:
-            return np.eye(1, terms + 1)[0]
         masses = self._value_law[1]
         while len(self._spectrum) <= terms:
             self._spectrum.append(float(masses @ next(self._spectrum_rows)))
@@ -337,9 +299,7 @@ class PushforwardDist:
 
     def hermite_bound(self) -> float:
         """Bound on |a_k| for every k >= 1: HERMITE_KAPPA * exp(R^2 / 4) with
-        R = max |height|, since f(g) stays in [-R, R]; 0 for the identity."""
-        if self.inst is None:
-            return 0.0
+        R = max |height|, since f(g) stays in [-R, R]."""
         radius = float(np.max(np.abs(self.inst.heights())))
         return HERMITE_KAPPA * math.exp(radius * radius / 4.0)
 
@@ -360,8 +320,6 @@ class PushforwardDist:
             raise ValidationError("cosine must lie in [-1, 1]")
         width = math.sqrt(max(1.0 - cosine * cosine * self.scale * self.scale, 0.0))
         coef = cosine * self.scale
-        if self.inst is None:
-            return _identity_law(coef, width)
         return _law_from_instance(self.inst, coef, width)
 
 
@@ -391,9 +349,6 @@ class HiddenDirectionDist:
         g += np.outer(s, self.v)
         return g
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return sample_hidden(self, n, seed)
-
 
 def hidden_projection(cosine: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """<u, x> for x from the hidden-direction law and <u, v> = cosine, from
@@ -412,11 +367,6 @@ def series_terms(constant: float, rho: float, tol: float) -> float:
     while constant * rho ** (terms + 1) > tol:
         terms += 1
     return terms
-
-
-def sample_marginal(dist: PushforwardDist, n: int, seed: int) -> np.ndarray:
-    """n draws of scale * f(g1) + sigma * g2, deterministic given seed."""
-    return dist.sample(n, seed, STREAM_MARGINAL)
 
 
 def _gaussian_blocks(

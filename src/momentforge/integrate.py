@@ -3,9 +3,11 @@
 One routine refines panels on one or two axes: a panel's error estimate is
 the gap between its order-n and order-2n tensor rules, and the worst panel
 is halved across its widest side until the summed estimate meets the
-tolerance.  The returned error adds a rounding floor, ROUNDING_ULPS machine
-epsilons of each final panel's sum of |w f|, so a converged integral never
-claims less error than its own rounding; refinement ignores the floor.
+tolerance.  An estimate that is not finite (a NaN or infinite integrand
+value) raises QuadratureError.  The returned error adds a rounding floor,
+ROUNDING_ULPS machine epsilons of each final panel's sum of |w f|, so a
+converged integral never claims less error than its own rounding;
+refinement ignores the floor.
 panel_integrate_1d and panel_integrate_2d are its two entry points.  The
 verification integrands are smooth inside panels whose edges align with the
 comb features of the smoothed pushforward density (teeth of width sigma
@@ -42,6 +44,8 @@ __all__ = ["Estimate", "panel_integrate_1d", "panel_integrate_2d", "feature_brea
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 ROUNDING_ULPS = 4
+# feature_breakpoints brackets each feature at these multiples of its width.
+FEATURE_OFFSETS = (1.0, 6.0)
 
 
 class Estimate(float):
@@ -63,14 +67,14 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def feature_breakpoints(
-    lo: float, hi: float, features, width: float, offsets=(1.0, 6.0), jumps=()
+    lo: float, hi: float, features, width: float, jumps=()
 ) -> np.ndarray:
     """Sorted panel edges on [lo, hi]: the bounds plus each feature point
-    bracketed at the given multiples of its width, plus the jump points
-    (where the integrand is discontinuous) themselves."""
+    bracketed at FEATURE_OFFSETS multiples of its width, plus the jump
+    points (where the integrand is discontinuous) themselves."""
     edges = {lo, hi} | {float(j) for j in jumps if lo < j < hi}
     for f in np.atleast_1d(np.asarray(features, dtype=float)):
-        for mult in offsets:
+        for mult in FEATURE_OFFSETS:
             for edge in (f - mult * width, f + mult * width):
                 if lo < edge < hi:
                     edges.add(float(edge))
@@ -156,7 +160,8 @@ def _panel_integrate(f, breaks, tol_abs: float, order: int, max_panels: int):
         split[axis] = [(lo, mid), (mid, hi)]
         sweep(split)
         panels += 1
-    if total_err > tol_abs:
+    # NaN fails this test; an infinite estimate turns NaN once its panel splits.
+    if not total_err <= tol_abs:
         raise QuadratureError(achieved=total_err, target=tol_abs)
     return total, total_err + sum(item[-1] for item in heap)
 
@@ -166,8 +171,8 @@ def panel_integrate_1d(
 ) -> tuple[float, float]:
     """Integrate vectorized f over the span of `breakpoints` with order-24
     panels.  Returns (value, error estimate), the value a vector when f
-    returns one row per node; raises QuadratureError if the panel budget is
-    exhausted before the estimate reaches tol_abs."""
+    returns one row per node; raises QuadratureError if the estimate is not
+    finite or the panel budget is exhausted before it reaches tol_abs."""
     return _panel_integrate(f, (breakpoints,), tol_abs, 24, max_panels)
 
 
@@ -180,6 +185,7 @@ def panel_integrate_2d(
     f is called as f(gx, gy) with the x nodes of one panel and the y nodes
     of a row of panels, and must return the (len(gx), len(gy)) array of
     f(gx[i], gy[j]).  Returns (value, error estimate); raises QuadratureError
-    when the budget runs out before reaching tol_abs.
+    when the estimate is not finite or the budget runs out before reaching
+    tol_abs.
     """
     return _panel_integrate(f, (x_breaks, y_breaks), tol_abs, 16, max_panels)

@@ -6,8 +6,8 @@ Each bump becomes four signed ReLU units with breakpoints at its support and
 plateau edges; the slope magnitude |height| / ramp is folded into the unit
 weights so every unit reads sign * relu(a z + b) with a > 0.  The smoothed
 map (z1, z2) -> sqrt(1 - sigma^2) f(z1) + sigma z2 keeps the pass-through
-coordinate as an explicit linear term by default (an optional strict mode
-emits it as a ReLU pair for size accounting).  The lift applies a Householder
+coordinate as an explicit linear term; the size report also counts it as
+the ReLU pair relu(x) - relu(-x).  The lift applies a Householder
 reflection taking e_1 to the hidden direction, so every output coordinate is
 alpha * f*(z1, z2) + <u, (z3, ..., z_{d+1})>.
 """
@@ -126,11 +126,8 @@ def compile_instance(inst: BumpInstance) -> ReluNetwork1D:
 
 @dataclass(frozen=True)
 class SmoothedNetwork:
-    """Two-input map sqrt(1-sigma^2) f(z1) + sigma z2.
-
-    The z2 pass-through lives in `linear` unless the network was built in
-    strict mode, in which case it is a ReLU pair and `linear` is empty.
-    """
+    """Two-input map sqrt(1-sigma^2) f(z1) + sigma z2, the z2 pass-through
+    in `linear`."""
 
     units: tuple[ReluUnit, ...]
     linear: tuple[float, float]
@@ -154,7 +151,7 @@ class SmoothedNetwork:
         return float(out[0]) if z.ndim == 1 else out
 
 
-def smooth_inner(net: ReluNetwork1D, sigma: float, strict: bool = False) -> SmoothedNetwork:
+def smooth_inner(net: ReluNetwork1D, sigma: float) -> SmoothedNetwork:
     """Scale the inner network by sqrt(1-sigma^2) and add the sigma z2 term."""
     if not 0.0 < sigma < 1.0:
         raise ValidationError(f"sigma must lie in (0,1), got {sigma}")
@@ -163,13 +160,7 @@ def smooth_inner(net: ReluNetwork1D, sigma: float, strict: bool = False) -> Smoo
         ReluUnit(sign=u.sign, weights=(scale * u.weights[0], 0.0), bias=scale * u.bias)
         for u in net.units
     ]
-    if strict:
-        units.append(ReluUnit(sign=1, weights=(0.0, sigma), bias=0.0))
-        units.append(ReluUnit(sign=-1, weights=(0.0, -sigma), bias=0.0))
-        linear = (0.0, 0.0)
-    else:
-        linear = (0.0, sigma)
-    return SmoothedNetwork(units=tuple(units), linear=linear, sigma=sigma)
+    return SmoothedNetwork(units=tuple(units), linear=(0.0, sigma), sigma=sigma)
 
 
 def householder_rotation(v: np.ndarray) -> np.ndarray:
@@ -224,13 +215,7 @@ class LiftedNetwork:
         return out[0] if z.ndim == 1 else out
 
 
-def lift(
-    net: ReluNetwork1D,
-    sigma: float,
-    d: int,
-    v: np.ndarray,
-    strict: bool = False,
-) -> LiftedNetwork:
+def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwork:
     """Lift the 1-D network to the d-dimensional hidden-direction generator."""
     if d < 2:
         raise ValidationError("ambient dimension must be >= 2")
@@ -238,5 +223,5 @@ def lift(
     if v.shape != (d,):
         raise ValidationError(f"direction must have dimension {d}")
     rotation = householder_rotation(v)
-    inner = smooth_inner(net, sigma, strict=strict)
+    inner = smooth_inner(net, sigma)
     return LiftedNetwork(d=d, v=v, sigma=sigma, inner=inner, rotation=rotation)

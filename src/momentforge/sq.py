@@ -12,11 +12,11 @@ expectation as far as tau allows.
 A series answer is the dot product sum_k (c s)^k a_k q_k of the marginal's
 Hermite spectrum with the query function's Hermite projections
 q_k = E_N[q h_k], tabulated by vector-valued integrals once per function
-object for the whole process, as is each function's N(0,1) expectation.
-Quadratures put panel breaks at the query's declared jump points.  Those
-process-wide tables, like the marginal's kept moments and spectrum, have no
-lock, so adversarial oracles must not be answered from several threads at
-once.
+object for the whole process; row 0 (h_0 = 1) is the function's N(0,1)
+expectation, a null answer's target.  Quadratures put panel breaks at the
+query's declared jump points.  Those process-wide tables, like the
+marginal's kept moments and spectrum, have no lock, so adversarial oracles
+must not be answered from several threads at once.
 The rounding target is computed identically for planted and null targets,
 so any query whose two expectations differ by less than the tolerance
 receives the bitwise-identical answer under both -- the indistinguishability
@@ -62,7 +62,7 @@ from .gaussian import (
     gaussian_moment,
     hermite_rows,
 )
-from .integrate import Estimate, feature_breakpoints, panel_integrate_1d
+from .integrate import Estimate, panel_integrate_1d
 
 __all__ = [
     "ProjectionQuery",
@@ -100,8 +100,8 @@ PROJECTION_BLOCK = 32
 class ProjectionQuery:
     """Query f(x) = fn(<direction, x>) for a vectorized 1-D fn.
 
-    fn must be a pure function: adversarial oracles keep its N(0,1)
-    expectation and its Hermite projections in tables shared by every
+    fn must be a pure function: adversarial oracles keep its Hermite
+    projections (row 0 its N(0,1) expectation) in a table shared by every
     oracle of the process, keyed by the function object (dropped with it).
     jumps lists the points where fn is discontinuous; quadratures break
     their panels there.  They belong to fn: a table made for one query
@@ -168,30 +168,8 @@ class PlantedTarget:
         return self.hidden.d
 
 
-def _gaussian_expectation(fn, jumps, tol_abs: float = 1e-11) -> Estimate:
-    breaks = feature_breakpoints(-10.0, 10.0, [0.0], 1.0, jumps=jumps)
-    return Estimate(
-        *panel_integrate_1d(lambda t: fn(t) * gaussian_density(t), breaks, tol_abs)
-    )
-
-
-# query.fn -> Estimate of E_N[clip(fn)]
-_GAUSSIAN_EXPECTATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # query.fn -> [(q block, error), ...]
 _PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _null_projection_expectation(query, clipped_fn) -> Estimate:
-    """E_N[clipped_fn], integrated once per query function for the whole
-    process (per call for a function that takes no weak reference)."""
-    try:
-        estimate = _GAUSSIAN_EXPECTATIONS.get(query.fn)
-    except TypeError:  # fn takes no weak reference (a ufunc, say)
-        return _gaussian_expectation(clipped_fn, query.jumps)
-    if estimate is None:
-        estimate = _gaussian_expectation(clipped_fn, query.jumps)
-        _GAUSSIAN_EXPECTATIONS[query.fn] = estimate
-    return estimate
 
 
 def _hermite_projections(
@@ -417,7 +395,8 @@ class SqOracle:
                 return np.clip(np.asarray(query.fn(tvals), dtype=float), -1.0, 1.0)
 
             if isinstance(target, NullTarget):
-                return _null_projection_expectation(query, clipped_fn), "quadrature"
+                table, table_err = _hermite_projections(query, clipped_fn, 0)
+                return Estimate(table[0], table_err[0]), "quadrature"
             marginal = target.hidden.marginal
             cosine = float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
             rho = abs(cosine) * marginal.scale
@@ -542,10 +521,15 @@ def _clipped_power(j: int):
     return fn
 
 
-def _comb_indicator(comb: np.ndarray, window: float):
+@functools.lru_cache(maxsize=16)
+def _comb_indicator(comb: tuple[float, ...], window: float):
+    """1 within window of a comb point, else 0; one shared function object
+    per (comb, window), so every trial's query reads one projection table."""
+    points = np.array(comb)
+
     def fn(t):
         t = np.asarray(t, dtype=float)
-        dist = np.min(np.abs(t[..., None] - comb), axis=-1)
+        dist = np.min(np.abs(t[..., None] - points), axis=-1)
         return (dist <= window).astype(float)
 
     return fn
@@ -597,11 +581,9 @@ def build_algorithm(
         if planted_hint is None:
             raise ValidationError("oracle-v needs the trial's candidate direction")
         marg = planted_hint.marginal
-        if marg.inst is None:
-            raise ValidationError("oracle-v needs a bump-instance marginal")
         comb = np.unique(np.concatenate([marg.scale * marg.inst.heights(), [0.0]]))
         window = 4.0 * max(marg.sigma, 1e-3)
-        fn = _comb_indicator(comb, window)
+        fn = _comb_indicator(tuple(comb.tolist()), window)
         query = ProjectionQuery(
             direction=planted_hint.v,
             fn=fn,

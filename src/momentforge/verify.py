@@ -122,17 +122,14 @@ class ChiSquaredResult:
     support_radius: float
 
 
-def chi_squared_vs_gaussian(
-    dist: PushforwardDist,
-    tol_abs: float = 1e-8,
-    reference_constant: float = 1.0,
-) -> ChiSquaredResult:
+def chi_squared_vs_gaussian(dist: PushforwardDist, tol_abs: float = 1e-8) -> ChiSquaredResult:
     """chi^2(D', N(0,1)) = integral of D'(x)^2 / phi(x) dx - 1, to tol_abs
     on the plane's panel breaks.  The error estimate is the integrator's
-    plus _chi_squared_tail's bound on the integral past the breaks."""
+    plus _chi_squared_tail's bound on the integral past the breaks.  The
+    reference is exp(R^2) / sigma, R the support radius."""
     if not 0.0 < dist.sigma <= 0.5:
         raise ValidationError("chi-squared check requires sigma in (0, 1/2]")
-    breaks = _plane_breaks(dist)
+    breaks = _ratio_breaks(dist)
 
     def integrand(x):
         dens = dist.density(x)
@@ -140,12 +137,11 @@ def chi_squared_vs_gaussian(
 
     value, error = panel_integrate_1d(integrand, breaks, tol_abs)
     radius = dist.support_radius()
-    reference = math.exp(reference_constant * radius * radius) / dist.sigma
     return ChiSquaredResult(
         value=value - 1.0,
         error_estimate=error + _chi_squared_tail(dist, float(breaks[-1])),
-        reference=reference,
-        reference_constant=reference_constant,
+        reference=math.exp(radius * radius) / dist.sigma,
+        reference_constant=1.0,
         support_radius=radius,
     )
 
@@ -153,16 +149,12 @@ def chi_squared_vs_gaussian(
 def _chi_squared_tail(dist: PushforwardDist, bound: float) -> float:
     """Bound on the integral of D'(x)^2 / phi(x) over |x| > bound.
 
-    The identity marginal is N(0,1), whose tails hold 2 ndtr(-bound).  An
-    instance's D' mixes N(y, sigma^2) over y in [-R, R], R the support
-    radius, so D'(x) <= phi_sigma(s) at |x| = R + s, s > 0, and the integrand
-    is at most exp(-a s^2 + R s + R^2 / 2) / (sigma^2 sqrt(2 pi)) with
-    a = 1/sigma^2 - 1/2 > 0.  Completing the square over s > S = bound - R
+    D' mixes N(y, sigma^2) over y in [-R, R], R the support radius, so
+    D'(x) <= phi_sigma(s) at |x| = R + s, s > 0, and the integrand is at most
+    exp(-a s^2 + R s + R^2 / 2) / (sigma^2 sqrt(2 pi)) with a = 1/sigma^2 - 1/2 > 0.  Completing the square over s > S = bound - R
     gives, for both tails together,
     2 sqrt(pi / a) exp(R^2/2 + R^2/(4a)) ndtr(-sqrt(2a) (S - R/(2a))) / (sigma^2 sqrt(2 pi)).
     """
-    if dist.inst is None:
-        return 2.0 * float(ndtr(-bound))
     radius, sigma = dist.support_radius(), dist.sigma
     a = 1.0 / (sigma * sigma) - 0.5
     shift = bound - radius - radius / (2.0 * a)
@@ -170,11 +162,20 @@ def _chi_squared_tail(dist: PushforwardDist, bound: float) -> float:
     return 2.0 * math.sqrt(math.pi / a) * scale * float(ndtr(-math.sqrt(2.0 * a) * shift))
 
 
-def _plane_breaks(dist: PushforwardDist, pad_sigmas: float = 10.0) -> np.ndarray:
-    bound = dist.support_radius() + pad_sigmas * dist.sigma
-    if dist.inst is None:
-        bound = max(bound, 10.0)
+def _plane_breaks(dist: PushforwardDist) -> np.ndarray:
+    bound = dist.integration_bound()
     return feature_breakpoints(-bound, bound, dist.feature_points(), dist.sigma)
+
+
+def _ratio_breaks(dist: PushforwardDist) -> np.ndarray:
+    """The plane's breaks for an integrand holding D/phi, which must not
+    overflow; chi-squared and TV integrate on them."""
+    breaks = _plane_breaks(dist)
+    if breaks[-1] > RATIO_REACH:
+        raise NumericGuardError(
+            f"plane reaches |x| = {breaks[-1]:.4g}; D/phi overflows past {RATIO_REACH:.4g}"
+        )
+    return breaks
 
 
 def pairwise_correlation(
@@ -206,11 +207,7 @@ def tv_hidden_pair(
     if dist.sigma <= 0.0:
         raise ValidationError("TV reduction requires sigma > 0")
     sin_t = math.sin(math.acos(cosine))
-    breaks = _plane_breaks(dist)
-    if breaks[-1] > RATIO_REACH:
-        raise NumericGuardError(
-            f"TV plane reaches |x| = {breaks[-1]:.4g}; D/phi overflows past {RATIO_REACH:.4g}"
-        )
+    breaks = _ratio_breaks(dist)
     inv = -0.5 / (sin_t * sin_t)
 
     def ratio(t):
@@ -301,8 +298,6 @@ def distance_to_support(
     far.  The product of exceedance probability and threshold lower-bounds
     the Wasserstein-1 distance between the two hidden-direction laws.
     """
-    if dist.inst is None:
-        raise ValidationError("distance-to-support needs a bump instance")
     if not abs(cosine) <= 1.0:
         raise ValidationError("cosine must satisfy |cosine| <= 1")
     if n < 1:

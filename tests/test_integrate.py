@@ -91,6 +91,16 @@ class TestPanelIntegrate2D:
                 1e-12, max_panels=2,
             )
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("fill", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, fill):
+        # A NaN estimate compares false against the tolerance; it must not
+        # pass for a converged one.
+        with pytest.raises(QuadratureError, match="reached nan"):
+            panel_integrate_2d(
+                lambda gx, gy: np.full((gx.size, gy.size), fill), [0.0, 1.0], [0.0, 1.0], 1e-8
+            )
+
     def test_needs_one_panel_per_axis(self):
         with pytest.raises(ValidationError):
             panel_integrate_2d(correlated_gaussian_kernel(0.0), [0.0], [0.0, 1.0], 1e-8)
@@ -168,6 +178,19 @@ class TestPanelIntegrate1D:
         breaks = [-1.0, 1.0]
         (value,), err = panel_integrate_1d(lambda x: kinked(x)[:, None], breaks, 1e-9)
         assert (value, err) == panel_integrate_1d(kinked, breaks, 1e-9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("fill", [math.nan, math.inf])
+    def test_non_finite_integrand_raises(self, fill):
+        with pytest.raises(QuadratureError, match="reached nan"):
+            panel_integrate_1d(lambda x: np.full_like(x, fill), [0.0, 1.0], 1e-8)
+
+    def test_one_nan_node_raises(self):
+        def spiked(x):
+            return np.where(x == x.max(), math.nan, x)
+
+        with pytest.raises(QuadratureError):
+            panel_integrate_1d(spiked, [-1.0, 0.0, 1.0], 1e-8)
 
     def test_jumps_become_breaks(self):
         breaks = feature_breakpoints(-1.0, 1.0, [], 1.0, jumps=(0.25, -3.0, 1.0))

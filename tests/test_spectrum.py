@@ -67,10 +67,6 @@ class TestSpectrum:
         fresh = PushforwardDist.from_instance(evolved, 0.05).hermite_spectrum(60)
         assert np.array_equal(grown.hermite_spectrum(60), fresh)
 
-    def test_identity_marginal(self):
-        coeffs = PushforwardDist.gaussian(0.05).hermite_spectrum(5)
-        assert coeffs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
     def test_coefficients_obey_the_cramer_bound(self, dist5):
         coeffs = dist5.hermite_spectrum(3000)
         assert np.max(np.abs(coeffs[1:])) <= dist5.hermite_bound()

@@ -27,7 +27,7 @@ from momentforge import (
 )
 from momentforge import sq as sq_module
 from momentforge.cli import main
-from momentforge.distributions import STREAM_ORACLE, rng_stream
+from momentforge.distributions import STREAM_ORACLE, rng_stream, sample_hidden
 from momentforge.gaussian import gaussian_moment
 from momentforge.sq import (
     CLIP_BASE,
@@ -143,7 +143,7 @@ class TestOracleSoundness:
         query = MonomialQuery(indices=(0, 1), powers=(2, 2), label="x0^2x1^2")
         answer = stat_query(oracle, query)
         n = 4_000_000
-        x = hidden.sample(n, seed=80)
+        x = sample_hidden(hidden, n, seed=80)
         vals = np.clip(x[:, 0] ** 2 * x[:, 1] ** 2 / CLIP_BASE**4, -1, 1)
         estimate = float(np.mean(vals))
         se = float(np.std(vals)) / math.sqrt(n)
@@ -355,19 +355,17 @@ class TestAnswerPaths:
     @pytest.mark.parametrize("kind", ["planted", "null"])
     def test_null_expectation_once_per_function(self, hidden50, monkeypatch, kind):
         # 12 directions x 5 clipped powers share 5 function objects, and
-        # their N(0,1) expectations are kept for the whole process: a second
-        # oracle integrates none of them again.
-        from momentforge import sq as sq_module
-
+        # their projection tables, whose row 0 is the N(0,1) expectation,
+        # are kept for the whole process: a second oracle integrates none of
+        # them again.
         calls = []
-        original = sq_module._gaussian_expectation
 
-        def counted(fn, *args):
-            calls.append(fn)
-            return original(fn, *args)
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return panel_integrate_1d(*args, **kwargs)
 
-        monkeypatch.setattr(sq_module, "_gaussian_expectation", counted)
-        monkeypatch.setattr(sq_module, "_GAUSSIAN_EXPECTATIONS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(sq_module, "panel_integrate_1d", counted)
+        monkeypatch.setattr(sq_module, "_PROJECTIONS", weakref.WeakKeyDictionary())
         target = PlantedTarget(hidden50) if kind == "planted" else NullTarget(self.D)
         algo = build_algorithm("random-projection-moment", self.D, seed=8, tau=TAU)
         first = make_oracle(target, "adversarial")
@@ -380,6 +378,46 @@ class TestAnswerPaths:
         assert [e.answer for e in second.query_log] == [
             e.answer for e in first.query_log
         ]
+
+    def test_comb_table_shared_across_trials(self, hidden50, monkeypatch):
+        # Every oracle-v trial of one marginal queries the same comb function
+        # object, so only the first null answer integrates its table.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return panel_integrate_1d(*args, **kwargs)
+
+        monkeypatch.setattr(sq_module, "panel_integrate_1d", counted)
+        monkeypatch.setattr(sq_module, "_PROJECTIONS", weakref.WeakKeyDictionary())
+        answers = []
+        for seed in (7, 8):
+            cheat = build_algorithm(
+                "oracle-v", self.D, seed=seed, tau=TAU, planted_hint=hidden50
+            )
+            answers += answer_sequence(make_oracle(NullTarget(self.D), "adversarial"), cheat)
+        assert len(calls) == 1
+        assert answers[0] == answers[1]
+
+    def test_null_answer_is_row_zero_of_the_table(self, hidden50, monkeypatch):
+        # A null projection answer is E_N[clip(fn)], row 0 (h_0 = 1) of the
+        # function's Hermite projection table, bit for bit, with its error.
+        projections = build_algorithm(
+            "random-projection-moment", self.D, seed=7, tau=TAU, n_directions=1
+        )
+        cheat = build_algorithm(
+            "oracle-v", self.D, seed=7, tau=TAU, planted_hint=hidden50
+        )
+        queries = projections.queries + cheat.queries
+        oracle = make_oracle(NullTarget(self.D), "adversarial")
+        answers = [stat_query(oracle, q) for q in queries]
+        monkeypatch.setattr(sq_module, "_PROJECTIONS", weakref.WeakKeyDictionary())
+        for query, answer, entry in zip(queries, answers, oracle.query_log):
+            table, errors = sq_module._hermite_projections(
+                query, lambda t, fn=query.fn: np.clip(fn(t), -1.0, 1.0), 0
+            )
+            assert answer == table[0]
+            assert entry.error == errors[0]
 
     def test_error_estimates_by_path(self, hidden50):
         # The target expectation's error: the integrator's estimate (plus
