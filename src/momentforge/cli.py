@@ -192,9 +192,7 @@ def cmd_verify(args) -> int:
     trace = _trace_from_payload(data["trace"])
     network = compile_instance(evolved)
     cosines = tuple(args.cosine) if args.cosine else VerifyConfig.correlation_cosines
-    config = VerifyConfig(
-        nu=args.nu, sigma=args.sigma, seed=args.seed, correlation_cosines=cosines
-    )
+    config = VerifyConfig(nu=args.nu, sigma=args.sigma, correlation_cosines=cosines)
     report = verify_instance(initial, evolved, network, config, trace=trace)
 
     print(f"verification report (m={report.m}, sigma={config.sigma}, nu={config.nu})")
@@ -226,7 +224,8 @@ def cmd_verify(args) -> int:
         sd = report.support_distance
         print(
             f"  distance-to-support: P(> {sd.threshold:.4f}) = "
-            f"{sd.exceedance_probability:.4f} (W1 lower bound {sd.w1_lower_bound:.4e})"
+            f"{sd.exceedance_probability:.4f} (error {sd.error_estimate:.1e}; "
+            f"W1 lower bound {sd.w1_lower_bound:.4e})"
         )
     if report.errors:
         for err in report.errors:
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="correlation-check cosine; repeatable (default 0.05 0.1 0.2)",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0, help="has no effect")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

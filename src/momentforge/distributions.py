@@ -19,6 +19,7 @@ sample a block of rows at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ __all__ = [
     "null_blocks",
     "latent_blocks",
     "generate_directions",
-    "hidden_projection",
+    "comb_indicator",
     "rng_stream",
     "series_terms",
 ]
@@ -56,7 +57,6 @@ STREAM_MARGINAL = 1
 STREAM_HIDDEN = 2
 STREAM_NULL = 3
 STREAM_DIRECTIONS = 4
-STREAM_SUPPORT = 5
 STREAM_ORACLE = 6
 STREAM_DIRECTION = 0x45  # a seeded random hidden direction
 STREAM_TRIAL_DIRECTION = 0x46  # a distinguisher trial's hidden direction
@@ -350,10 +350,19 @@ class HiddenDirectionDist:
         return g
 
 
-def hidden_projection(cosine: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """<u, x> for x from the hidden-direction law and <u, v> = cosine, from
-    marginal draws s and independent standard normals g."""
-    return cosine * s + math.sqrt(max(1.0 - cosine * cosine, 0.0)) * g
+@functools.lru_cache(maxsize=16)
+def comb_indicator(comb: tuple[float, ...], window: float):
+    """1 within window of a comb point, else 0; one shared function object
+    per (comb, window), so every query of one comb reads one projection
+    table (see sq.py)."""
+    points = np.array(comb)
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        dist = np.min(np.abs(t[..., None] - points), axis=-1)
+        return (dist <= window).astype(float)
+
+    return fn
 
 
 def series_terms(constant: float, rho: float, tol: float) -> float:

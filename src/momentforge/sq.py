@@ -51,7 +51,7 @@ import numpy as np
 from .distributions import (
     STREAM_ORACLE,
     HiddenDirectionDist,
-    hidden_projection,
+    comb_indicator,
     rng_stream,
     series_terms,
 )
@@ -168,7 +168,8 @@ class PlantedTarget:
         return self.hidden.d
 
 
-# query.fn -> [(q block, error), ...]
+# query.fn -> [values, errors]: q_0..q_K and each row's error, for K + 1 a
+# multiple of PROJECTION_BLOCK.
 _PROJECTIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -178,16 +179,16 @@ def _hermite_projections(
     """q_k = E_N[clipped_fn(t) h_k(t)] for k <= terms, with each row's error.
 
     Rows are integrated PROJECTION_BLOCK at a time, each block one
-    vector-valued integral made once per query function and kept while the
-    function lives.  A row's value thus never depends on which queries came
-    before, and an integrand call holds one block.
+    vector-valued integral made once per query function and joined onto the
+    function's table, which is kept while the function lives.  A row's value
+    thus never depends on which queries came before, and an integrand call
+    holds one block.
     """
     try:
-        blocks = _PROJECTIONS.setdefault(query.fn, [])
+        table = _PROJECTIONS.setdefault(query.fn, [np.empty(0), np.empty(0)])
     except TypeError:  # fn takes no weak reference (a ufunc, say)
-        blocks = []
-    while len(blocks) * PROJECTION_BLOCK <= terms:
-        first = len(blocks) * PROJECTION_BLOCK
+        table = [np.empty(0), np.empty(0)]
+    for first in range(table[0].size, terms + 1, PROJECTION_BLOCK):
 
         def integrand(t):
             weight = clipped_fn(t) * gaussian_density(t)
@@ -199,10 +200,10 @@ def _hermite_projections(
 
         grid = np.linspace(-PROJECTION_BOUND, PROJECTION_BOUND, PROJECTION_PANELS + 1)
         breaks = np.union1d(grid, [j for j in query.jumps if abs(j) < PROJECTION_BOUND])
-        blocks.append(panel_integrate_1d(integrand, breaks, PROJECTION_TOL))
-    values = np.concatenate([v for v, _ in blocks])
-    errors = np.repeat([e for _, e in blocks], PROJECTION_BLOCK)
-    return values[: terms + 1], errors[: terms + 1]
+        block, error = panel_integrate_1d(integrand, breaks, PROJECTION_TOL)
+        table[0] = np.concatenate([table[0], block])
+        table[1] = np.concatenate([table[1], np.full(PROJECTION_BLOCK, error)])
+    return table[0][: terms + 1], table[1][: terms + 1]
 
 
 def _int_power(x: np.ndarray, p: int) -> np.ndarray:
@@ -351,7 +352,8 @@ class SqOracle:
         hidden = target.hidden
         cosine = float(np.clip(query.direction @ hidden.v, -1.0, 1.0))
         s = hidden.marginal.draw(rng, n)
-        return hidden_projection(cosine, s, rng.standard_normal(n))
+        sin_t = math.sqrt(max(1.0 - cosine * cosine, 0.0))
+        return cosine * s + sin_t * rng.standard_normal(n)
 
     @staticmethod
     def _sample_monomial_coords(query: MonomialQuery, target, rng, n: int) -> np.ndarray:
@@ -521,20 +523,6 @@ def _clipped_power(j: int):
     return fn
 
 
-@functools.lru_cache(maxsize=16)
-def _comb_indicator(comb: tuple[float, ...], window: float):
-    """1 within window of a comb point, else 0; one shared function object
-    per (comb, window), so every trial's query reads one projection table."""
-    points = np.array(comb)
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        dist = np.min(np.abs(t[..., None] - points), axis=-1)
-        return (dist <= window).astype(float)
-
-    return fn
-
-
 def build_algorithm(
     algo_id: str,
     d: int,
@@ -583,7 +571,7 @@ def build_algorithm(
         marg = planted_hint.marginal
         comb = np.unique(np.concatenate([marg.scale * marg.inst.heights(), [0.0]]))
         window = 4.0 * max(marg.sigma, 1e-3)
-        fn = _comb_indicator(tuple(comb.tolist()), window)
+        fn = comb_indicator(tuple(comb.tolist()), window)
         query = ProjectionQuery(
             direction=planted_hint.v,
             fn=fn,

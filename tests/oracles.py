@@ -4,7 +4,8 @@ Each one computes the same quantity as a production path in the plainest
 form available: a Python loop where the library broadcasts, a full-grid
 quadrature where the library sums a Hermite series, libm pow
 where the library multiplies, one trial after another where the library
-runs them concurrently, a factor recomputed per row where the
+runs them concurrently, sampled projections where the library integrates
+the projected law, a factor recomputed per row where the
 library keeps it per sweep, two Gaussian kernels where the library uses
 one likelihood ratio.
 
@@ -28,6 +29,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
+from momentforge.distributions import rng_stream
 from momentforge.errors import ValidationError
 from momentforge.gaussian import (
     SQRT_2PI,
@@ -136,6 +138,20 @@ def kernel_pair_tv(dist, cosine, breaks, tol_abs):
 
     overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
     return 1.0 - overlap, error
+
+
+def sampled_exceedance(dist, cosine, threshold, n, seed):
+    """verify.distance_to_support's exceedance probability by sampling: the
+    share of n projections <v, x>, x ~ P_v' at the cosine, farther than
+    threshold from the scaled heights.  The marginal draws come from stream
+    5 and the orthogonal normals from stream 0x105, combined as
+    cos * s + sin * y."""
+    s = dist.sample(n, seed, stream=5)
+    y = rng_stream(seed, 0x105).standard_normal(n)
+    proj = cosine * s + math.sqrt(1.0 - cosine * cosine) * y
+    comb = dist.scale * dist.inst.heights()
+    far = np.min(np.abs(proj[:, None] - comb[None, :]), axis=1) > threshold
+    return float(np.mean(far))
 
 
 def pow_monomial_values(coords, query):

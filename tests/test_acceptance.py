@@ -284,9 +284,7 @@ def test_criterion_10_wasserstein_checks(build5):
         assert w1 <= height_drift + 3.0 * evolved.m * horizon
 
         support_dist = PushforwardDist.from_instance(evolved, 0.01)
-        result = distance_to_support(
-            support_dist, 0.5, 100_000, seed=1003, threshold_coef=0.1
-        )
+        result = distance_to_support(support_dist, 0.5, threshold_coef=0.1)
         assert result.threshold == pytest.approx(0.1 / math.sqrt(evolved.m))
         assert result.exceedance_probability >= 0.2
 

@@ -134,6 +134,19 @@ class TestVerify:
         errors = parse_float_list(report["report"]["moment_errors"])
         assert all(e < 1e-4 for e in errors)
 
+    def test_seed_has_no_effect(self, built_m5, tmp_path):
+        # verify draws nothing, so --seed leaves the report byte-identical.
+        reports = []
+        for seed in ("1", "2"):
+            path = tmp_path / f"report-{seed}.json"
+            argv = ["verify", str(built_m5), "--seed", seed, "--out", str(path)]
+            assert main(argv) == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        support = load_json(path)["report"]["support_distance"]
+        assert "samples" not in support
+        assert parse_float(support["error_estimate"]) <= 1e-10
+
     def test_corrupted_symmetry_detected(self, built_m5, tmp_path):
         data = json.loads(built_m5.read_text())
         heights = parse_float_list(data["evolved"]["heights"])

@@ -1,17 +1,22 @@
 """Whole-pipeline runs at other rule orders than the default m=5."""
 
+import time
+
 import numpy as np
 import pytest
 
 from momentforge import (
     PushforwardDist,
     SlopeTarget,
+    ValidationError,
+    VerifyConfig,
     compile_instance,
     evolve,
     hermite_rule,
     instance_eval,
     layout,
     reduce_rule,
+    verify_instance,
 )
 from momentforge.bumps import instance_pushforward_moment
 from momentforge.gaussian import gaussian_moment
@@ -62,3 +67,42 @@ def test_full_pipeline(m, eps0):
     dist = PushforwardDist.from_instance(evolved, SIGMA)
     for k in range(1, m + 1):
         assert abs(dist.moment(k) - gaussian_moment(k)) < NU
+
+
+# The initial ramp width a CLI build uses: the default 1e-6 where layout
+# accepts it, and from m = 7 on the eps0 that layout's error names there.
+NAMED_EPS0 = {
+    3: 1e-6, 5: 1e-6, 7: 2e-7, 9: 5.5e-9, 11: 1.1e-10, 13: 1.5e-12, 15: 1.7e-14
+}
+SWEEP_BUDGET_S = 60.0
+
+
+def test_verify_defaults_pass_valid_builds():
+    # verify at its default flags over odd m from 3 to 15, each evolved to
+    # the CLI's default target 1000 eps0 and to the end of the branch
+    # (eps target 1).  Every build passes but the m=3 end of the branch,
+    # whose TV at cosine 0.5 sits under the floor by more than its error.
+    start = time.perf_counter()
+    verdicts = {}
+    for m, eps0 in NAMED_EPS0.items():
+        reduced = reduce_rule(hermite_rule(m))
+        if eps0 != 1e-6:
+            with pytest.raises(ValidationError, match=f"eps0={eps0:.1e} is feasible"):
+                layout(reduced, 1e-6, NU)
+        initial = layout(reduced, eps0, NU)
+        for label, target in (("default", 1000.0 * eps0), ("end", 1.0)):
+            evolved, trace = evolve(initial, SlopeTarget(eps_target=target))
+            report = verify_instance(
+                initial, evolved, compile_instance(evolved), VerifyConfig(), trace=trace
+            )
+            assert not report.errors, (m, label)
+            assert all(c.passed for c in report.pairwise_corr), (m, label)
+            verdicts[m, label] = report.all_passed()
+            if (m, label) == (3, "end"):
+                (tv,) = report.tv_separation
+                assert tv.cosine == 0.5
+                assert tv.margin == pytest.approx(-2.44e-3, abs=1e-5)
+                assert tv.margin < -tv.error_estimate
+                assert report.w1_flow_passed
+    assert verdicts == {row: row != (3, "end") for row in verdicts}
+    assert time.perf_counter() - start <= SWEEP_BUDGET_S

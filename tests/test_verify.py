@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import kernel_pair_tv, meshgrid_correlation, per_row_tv
+from oracles import kernel_pair_tv, meshgrid_correlation, per_row_tv, sampled_exceedance
 
 from momentforge import (
     NumericGuardError,
@@ -23,9 +23,10 @@ from momentforge import (
     w1_empirical,
     w1_instances,
 )
+from momentforge import distributions as distributions_module
 from momentforge import verify as verify_module
 from momentforge.bumps import instance_eval
-from momentforge.distributions import STREAM_SUPPORT, ProjectedLaw, rng_stream
+from momentforge.distributions import ProjectedLaw
 
 
 @pytest.fixture(scope="module")
@@ -348,8 +349,8 @@ class TestW1Instances:
 class TestDistanceToSupport:
     def test_aligned_ramp_free_matches_gap_mass(self, build5):
         _, evolved, _ = build5
-        dist = PushforwardDist.from_instance(evolved, 0.0)
-        result = distance_to_support(dist, 1.0, 100_000, seed=31)
+        dist = PushforwardDist.from_instance(evolved, 0.01)
+        result = distance_to_support(dist, 1.0)
         # Only the zero atom (gap mass) plus tiny ramp mass sits far from
         # the height comb when the projection is perfectly aligned.
         assert result.exceedance_probability == pytest.approx(
@@ -359,7 +360,7 @@ class TestDistanceToSupport:
     def test_tilted_projection_escapes_comb(self, build5):
         _, evolved, _ = build5
         dist = PushforwardDist.from_instance(evolved, 0.01)
-        result = distance_to_support(dist, 0.5, 100_000, seed=32)
+        result = distance_to_support(dist, 0.5)
         assert result.threshold == pytest.approx(0.1 / math.sqrt(5), rel=1e-12)
         assert result.exceedance_probability >= 0.2
         assert result.w1_lower_bound == pytest.approx(
@@ -369,21 +370,29 @@ class TestDistanceToSupport:
     @pytest.mark.parametrize("cosine", [1.7, -1.0000001, math.nan])
     def test_cosine_domain(self, dist5, cosine):
         with pytest.raises(ValidationError, match="cosine"):
-            distance_to_support(dist5, cosine, 10, seed=1)
+            distance_to_support(dist5, cosine)
 
-    def test_projection_rebuilt_by_hand(self, build5):
-        # Marginal draws from the support stream, then the orthogonal normals
-        # from their own stream, combined as cos * s + sin * y.
+    def test_zero_width_law_rejected(self, build5):
+        # sigma = 0 at |cosine| = 1 projects onto the unsmoothed law, whose
+        # atoms have no density to integrate.
+        _, evolved, _ = build5
+        dist = PushforwardDist.from_instance(evolved, 0.0)
+        with pytest.raises(ValidationError, match="zero noise width"):
+            distance_to_support(dist, 1.0)
+
+    def test_agrees_with_sampled_reference(self, build5):
+        # The exact exceedance lies within 3 binomial standard errors of
+        # the sampled share at every seed, and its own error is negligible.
         _, evolved, _ = build5
         dist = PushforwardDist.from_instance(evolved, 0.01)
-        n, seed, cosine = 4096, 33, 0.5
-        result = distance_to_support(dist, cosine, n, seed=seed)
-        s = dist.sample(n, seed, stream=STREAM_SUPPORT)
-        y = rng_stream(seed, STREAM_SUPPORT + 0x100).standard_normal(n)
-        proj = cosine * s + math.sqrt(1.0 - cosine * cosine) * y
-        comb = dist.scale * evolved.heights()
-        far = np.min(np.abs(proj[:, None] - comb[None, :]), axis=1) > result.threshold
-        assert result.exceedance_probability == float(np.mean(far))
+        n, cosine = 100_000, 0.5
+        result = distance_to_support(dist, cosine)
+        p = result.exceedance_probability
+        assert 0.0 < result.error_estimate <= 1e-10
+        band = 3.0 * math.sqrt(p * (1.0 - p) / n)
+        for seed in range(5):
+            sampled = sampled_exceedance(dist, cosine, result.threshold, n, seed)
+            assert abs(p - sampled) <= band
 
     def test_lower_bound_below_projected_w1(self, build5, rng):
         # The exceedance bound must sit below the empirical W1 between the
@@ -395,7 +404,7 @@ class TestDistanceToSupport:
 
         dist = PushforwardDist.from_instance(evolved, 0.01)
         cosine = 0.5
-        result = distance_to_support(dist, cosine, 100_000, seed=61)
+        result = distance_to_support(dist, cosine)
         d = 8
         v = np.zeros(d)
         v[0] = 1.0
@@ -414,7 +423,7 @@ class TestDistanceToSupport:
 class TestVerifyInstance:
     def test_full_report_passes(self, build5):
         initial, evolved, trace = build5
-        config = VerifyConfig(support_samples=50_000)
+        config = VerifyConfig()
         report = verify_instance(
             initial, evolved, compile_instance(evolved), config, trace=trace
         )
@@ -436,10 +445,39 @@ class TestVerifyInstance:
         assert len(report.hermite_coefficients) == evolved.m + 1
         assert abs(report.hermite_coefficients[-1]) > 1e-4
 
+    def test_draws_nothing(self, build5, monkeypatch):
+        # Every stream and generator constructor, and the marginal's draw,
+        # raise: the report comes from integrals alone.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("verify drew a random number")
+
+        monkeypatch.setattr(distributions_module, "rng_stream", no_draw)
+        monkeypatch.setattr(np.random, "Generator", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(PushforwardDist, "draw", no_draw)
+        initial, evolved, trace = build5
+        report = verify_instance(
+            initial, evolved, compile_instance(evolved), VerifyConfig(), trace=trace
+        )
+        assert not report.errors
+        assert report.all_passed()
+        assert report.support_distance.error_estimate <= 1e-10
+
+    def test_underflowing_bound_is_recorded(self, build5):
+        # At nu = 1e-200 and cosine 1e-100 the correlation bound, and the
+        # series tolerance a thousandth of it, underflow to 0.
+        initial, evolved, _ = build5
+        config = VerifyConfig(nu=1e-200, correlation_cosines=(1e-100,), tv_cosines=())
+        report = verify_instance(initial, evolved, compile_instance(evolved), config)
+        assert report.errors == [
+            "pairwise correlation at 1e-100: series tolerance must be positive, got 0"
+        ]
+        assert not report.all_passed()
+
     def test_beta_is_chi_squared(self, build5):
         # The self-correlation chi_N(D_u, D_u) is chi^2(D_u, N) itself.
         initial, evolved, trace = build5
-        config = VerifyConfig(tv_cosines=(), support_samples=1_000)
+        config = VerifyConfig(tv_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         formula = report.sq_query_formula
         assert formula["beta"] == report.chi_squared.value
@@ -458,7 +496,7 @@ class TestVerifyInstance:
             return verify_module.Estimate(0.5 * bound, bound)
 
         monkeypatch.setattr(verify_module, "w1_instances", uncertain)
-        config = VerifyConfig(correlation_cosines=(), tv_cosines=(), support_samples=1_000)
+        config = VerifyConfig(correlation_cosines=(), tv_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         assert report.w1_flow_distance < report.w1_flow_bound == bound
         assert not report.w1_flow_passed
@@ -471,11 +509,7 @@ class TestVerifyInstance:
 
         monkeypatch.setattr(verify_module, "pairwise_correlation", uncertain)
         initial, evolved, trace = build5
-        config = VerifyConfig(
-            correlation_cosines=(0.1,),
-            tv_cosines=(),
-            support_samples=20_000,
-        )
+        config = VerifyConfig(correlation_cosines=(0.1,), tv_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         (check,) = report.pairwise_corr
         assert check.margin > 0.0
@@ -485,11 +519,7 @@ class TestVerifyInstance:
 
     def test_report_echoes_config(self, build5):
         initial, evolved, trace = build5
-        config = VerifyConfig(
-            correlation_cosines=(0.1,),
-            tv_cosines=(0.5,),
-            support_samples=20_000,
-        )
+        config = VerifyConfig(correlation_cosines=(0.1,), tv_cosines=(0.5,))
         report = verify_instance(
             initial, evolved, compile_instance(evolved), config, trace=trace
         )
@@ -515,11 +545,7 @@ class TestVerifyInstance:
 
         monkeypatch.setattr(verify_module, "pairwise_correlation", failing)
         initial, evolved, trace = build5
-        config = VerifyConfig(
-            correlation_cosines=(0.1,),
-            tv_cosines=(),
-            support_samples=20_000,
-        )
+        config = VerifyConfig(correlation_cosines=(0.1,), tv_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         assert report.errors == ["pairwise correlation at 0.1: rejected input"]
         assert not report.all_passed()
@@ -546,7 +572,7 @@ class TestVerifyInstance:
         for name in names:
             monkeypatch.setattr(verify_module, name, recording(name))
         initial, evolved, trace = build5
-        config = VerifyConfig(correlation_cosines=(), support_samples=1_000)
+        config = VerifyConfig(correlation_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         assert not report.errors
         assert calls == [(name, threading.get_ident()) for name in names]
@@ -561,11 +587,7 @@ class TestVerifyInstance:
         for name in ("pairwise_correlation", "w1_instances", "distance_to_support"):
             monkeypatch.setattr(verify_module, name, rejecting(name))
         initial, evolved, trace = build5
-        config = VerifyConfig(
-            correlation_cosines=(0.1,),
-            tv_cosines=(),
-            support_samples=20_000,
-        )
+        config = VerifyConfig(correlation_cosines=(0.1,), tv_cosines=())
         report = verify_instance(initial, evolved, compile_instance(evolved), config)
         assert report.errors == [
             "pairwise correlation at 0.1: pairwise_correlation rejected",
@@ -600,6 +622,6 @@ class TestVerifyInstance:
 
         monkeypatch.setattr(verify_module, "distance_to_support", buggy_support)
         initial, evolved, trace = build5
-        config = VerifyConfig(tv_cosines=(), support_samples=1_000)
+        config = VerifyConfig(tv_cosines=())
         with pytest.raises(TypeError, match="bug"):
             verify_instance(initial, evolved, compile_instance(evolved), config)
