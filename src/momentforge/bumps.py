@@ -85,9 +85,6 @@ class Bump:
         c, w = self.center, self.half_width
         return gaussian_interval_mass(c - w, c + w)
 
-    def mirrored(self) -> "Bump":
-        return replace(self, center=-self.center, height=-self.height)
-
 
 def bump_eval(b: Bump, z):
     """Evaluate the trapezoid at z (scalar or array)."""

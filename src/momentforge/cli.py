@@ -223,7 +223,8 @@ def cmd_verify(args) -> int:
     if report.support_distance is not None:
         sd = report.support_distance
         print(
-            f"  distance-to-support: P(> {sd.threshold:.4f}) = "
+            f"  distance-to-support (sigma={sd.sigma:g}, cos={sd.cosine:g}): "
+            f"P(> {sd.threshold:.4f}) = "
             f"{sd.exceedance_probability:.4f} (error {sd.error_estimate:.1e}; "
             f"W1 lower bound {sd.w1_lower_bound:.4e})"
         )

@@ -159,24 +159,22 @@ class ProjectedLaw:
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def feature_points(self) -> np.ndarray:
-        """Locations where the density has sigma-scale structure."""
-        pts = [self.coef * v for v in np.atleast_1d(self.atom_values)]
-        for g_lo, g_hi, slope, intercept in self.ramps:
-            for g in (g_lo, g_hi):
-                pts.append(self.coef * (slope * g + intercept))
-        return np.unique(np.asarray(pts, dtype=float))
+        """Locations where the density has sigma-scale structure: the scaled
+        atom values.  Every ramp runs between two atom values (0 and a
+        plateau height), so its ends add no further points."""
+        return np.unique(self.coef * self.atom_values)
 
     def integration_bound(self) -> float:
         """Half-width of an interval carrying all but a negligible mass."""
         reach = float(np.max(np.abs(self.feature_points())))
-        return reach + TAIL_SIGMAS * max(self.width, 1e-6)
+        return reach + TAIL_SIGMAS * self.width
 
     def panel_breaks(self, jumps=()) -> np.ndarray:
         """Panel edges aligned with this law's features and the integrand's
         jump points, for its integrals."""
         bound = self.integration_bound()
         return feature_breakpoints(
-            -bound, bound, self.feature_points(), max(self.width, 1e-6), jumps=jumps
+            -bound, bound, self.feature_points(), self.width, jumps=jumps
         )
 
     def expectation(self, fn, tol_abs: float = 1e-10, jumps=()) -> Estimate:
@@ -245,7 +243,7 @@ class PushforwardDist:
         return self.scale * float(np.max(np.abs(self.inst.heights())))
 
     def integration_bound(self) -> float:
-        return self.support_radius() + TAIL_SIGMAS * self.sigma
+        return self.law.integration_bound()
 
     def feature_points(self) -> np.ndarray:
         return self.law.feature_points()

@@ -185,9 +185,11 @@ def _hermite_projections(
     holds one block.
     """
     try:
-        table = _PROJECTIONS.setdefault(query.fn, [np.empty(0), np.empty(0)])
+        table = _PROJECTIONS.get(query.fn)
     except TypeError:  # fn takes no weak reference (a ufunc, say)
         table = [np.empty(0), np.empty(0)]
+    if table is None:
+        table = _PROJECTIONS[query.fn] = [np.empty(0), np.empty(0)]
     for first in range(table[0].size, terms + 1, PROJECTION_BLOCK):
 
         def integrand(t):

@@ -33,13 +33,7 @@ from .errors import NumericGuardError, SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
-from .integrate import (
-    ROUNDING_ULPS,
-    Estimate,
-    feature_breakpoints,
-    panel_integrate_1d,
-    panel_integrate_2d,
-)
+from .integrate import ROUNDING_ULPS, Estimate, panel_integrate_1d, panel_integrate_2d
 from .network import ReluNetwork1D
 
 # A spectral sum needing more terms than this raises SeriesTruncationError.
@@ -48,9 +42,11 @@ SERIES_TERM_CEILING = 1_000_000
 W1_TOL = 1e-10
 # exp(t^2 / 2), and so the likelihood ratio D/phi, overflows past this |t|.
 RATIO_REACH = math.sqrt(2.0 * math.log(np.finfo(float).max))
-# verify_instance measures the distance to support at this cosine, with the
-# threshold SUPPORT_THRESHOLD_COEF / sqrt(m).
+# verify_instance measures the distance to support at this cosine, on the
+# law at sigma = min(config.sigma, SUPPORT_SIGMA), with the threshold
+# SUPPORT_THRESHOLD_COEF / sqrt(m).
 SUPPORT_COSINE = 0.5
+SUPPORT_SIGMA = 0.01
 SUPPORT_THRESHOLD_COEF = 0.1
 
 __all__ = [
@@ -163,15 +159,10 @@ def _chi_squared_tail(dist: PushforwardDist, bound: float) -> float:
     return 2.0 * math.sqrt(math.pi / a) * scale * float(ndtr(-math.sqrt(2.0 * a) * shift))
 
 
-def _plane_breaks(dist: PushforwardDist) -> np.ndarray:
-    bound = dist.integration_bound()
-    return feature_breakpoints(-bound, bound, dist.feature_points(), dist.sigma)
-
-
 def _ratio_breaks(dist: PushforwardDist) -> np.ndarray:
-    """The plane's breaks for an integrand holding D/phi, which must not
-    overflow; chi-squared and TV integrate on them."""
-    breaks = _plane_breaks(dist)
+    """The marginal law's panel breaks, for an integrand holding D/phi,
+    which must not overflow; chi-squared and TV integrate on them."""
+    breaks = dist.law.panel_breaks()
     if breaks[-1] > RATIO_REACH:
         raise NumericGuardError(
             f"plane reaches |x| = {breaks[-1]:.4g}; D/phi overflows past {RATIO_REACH:.4g}"
@@ -278,8 +269,9 @@ def w1_instances(a: BumpInstance, b: BumpInstance) -> Estimate:
 @dataclass(frozen=True)
 class SupportDistanceResult:
     """How much of a projected law lies far from the scaled height comb,
-    with the integrator's error estimate."""
+    with the integrator's error estimate; sigma is the marginal's."""
 
+    sigma: float
     cosine: float
     threshold: float
     exceedance_probability: float
@@ -312,6 +304,7 @@ def distance_to_support(
     )
     exceed = 1.0 - near
     return SupportDistanceResult(
+        sigma=dist.sigma,
         cosine=cosine,
         threshold=threshold,
         exceedance_probability=exceed,
@@ -487,7 +480,9 @@ def verify_instance(
         report.w1_flow_passed = w1 + w1.error <= w1_bound
 
     with _recorded(report, "distance-to-support"):
-        support_dist = PushforwardDist.from_instance(evolved, min(config.sigma, 0.01))
+        support_dist = PushforwardDist.from_instance(
+            evolved, min(config.sigma, SUPPORT_SIGMA)
+        )
         report.support_distance = distance_to_support(support_dist, SUPPORT_COSINE)
 
     with _recorded(report, "vandermonde"):

@@ -7,7 +7,8 @@ where the library multiplies, one trial after another where the library
 runs them concurrently, sampled projections where the library integrates
 the projected law, a factor recomputed per row where the
 library keeps it per sweep, two Gaussian kernels where the library uses
-one likelihood ratio.
+one likelihood ratio, each ramp's end values listed as features beside the
+atom values where the library takes the atoms alone.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -29,7 +30,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
-from momentforge.distributions import rng_stream
+from momentforge.distributions import TAIL_SIGMAS, rng_stream
 from momentforge.errors import ValidationError
 from momentforge.gaussian import (
     SQRT_2PI,
@@ -37,7 +38,7 @@ from momentforge.gaussian import (
     gaussian_density,
     gaussian_interval_mass,
 )
-from momentforge.integrate import panel_integrate_2d
+from momentforge.integrate import feature_breakpoints, panel_integrate_2d
 from momentforge.sq import CLIP_BASE, answer_sequence, build_algorithm
 
 # Above this the p_k antiderivative form loses more than ~1e-10 relative to
@@ -138,6 +139,24 @@ def kernel_pair_tv(dist, cosine, breaks, tol_abs):
 
     overlap, error = panel_integrate_2d(integrand, breaks, breaks, tol_abs)
     return 1.0 - overlap, error
+
+
+def ramp_end_features(law):
+    """The law's atom values and each ramp's end values, recomputed as
+    slope * g + intercept at both ends, all scaled by the law's coefficient;
+    one sorted copy of each distinct float."""
+    points = [law.coef * v for v in law.atom_values]
+    for g_lo, g_hi, slope, intercept in law.ramps:
+        for g in (g_lo, g_hi):
+            points.append(law.coef * (slope * g + intercept))
+    return np.unique(points)
+
+
+def ramp_end_breaks(dist):
+    """The marginal's plane breaks with ramp_end_features as features, on
+    the support radius plus TAIL_SIGMAS noise widths each side."""
+    bound = dist.support_radius() + TAIL_SIGMAS * dist.sigma
+    return feature_breakpoints(-bound, bound, ramp_end_features(dist.law), dist.sigma)
 
 
 def sampled_exceedance(dist, cosine, threshold, n, seed):

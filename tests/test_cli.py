@@ -1,5 +1,6 @@
 """End-to-end command-line runs: files, determinism, exit codes."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -19,6 +20,7 @@ from momentforge import (
     HiddenDirectionDist,
     PushforwardDist,
     QuadratureError,
+    distance_to_support,
     sample_hidden,
     sample_null,
 )
@@ -31,8 +33,9 @@ from momentforge.cli import (
     main,
     network_from_payload,
 )
-from momentforge.distributions import STREAM_LATENT, rng_stream
+from momentforge.distributions import STREAM_LATENT, ProjectedLaw, rng_stream
 from momentforge.serialize import (
+    fnum,
     instance_from_payload,
     load_json,
     parse_float,
@@ -147,6 +150,24 @@ class TestVerify:
         assert "samples" not in support
         assert parse_float(support["error_estimate"]) <= 1e-10
 
+    @pytest.mark.parametrize("sigma", [None, "0.005"])
+    def test_support_distance_rebuilt_from_report(self, built_m5, tmp_path, capsys, sigma):
+        # The report records the sigma, cosine and threshold of the support
+        # check, so the build file and that record rebuild it bit for bit.
+        path = tmp_path / "report.json"
+        argv = ["verify", str(built_m5), "--out", str(path)]
+        assert main(argv + (["--sigma", sigma] if sigma else [])) == 0
+        recorded = load_json(path)["report"]["support_distance"]
+        want = sigma or repr(verify_module.SUPPORT_SIGMA)
+        assert recorded["sigma"] == want
+        assert f"distance-to-support (sigma={float(want):g}, " in capsys.readouterr().out
+        evolved = instance_from_payload(load_json(built_m5)["evolved"])
+        dist = PushforwardDist.from_instance(evolved, parse_float(recorded["sigma"]))
+        rebuilt = distance_to_support(dist, parse_float(recorded["cosine"]))
+        assert {
+            name: fnum(value) for name, value in dataclasses.asdict(rebuilt).items()
+        } == recorded
+
     def test_corrupted_symmetry_detected(self, built_m5, tmp_path):
         data = json.loads(built_m5.read_text())
         heights = parse_float_list(data["evolved"]["heights"])
@@ -166,7 +187,7 @@ class TestVerify:
 
     def test_tv_ratio_guard_exit_code(self, built_m5, capsys, monkeypatch):
         monkeypatch.setattr(
-            verify_module, "_plane_breaks", lambda dist: np.array([-40.0, 40.0])
+            ProjectedLaw, "panel_breaks", lambda law, jumps=(): np.array([-40.0, 40.0])
         )
         assert main(["verify", str(built_m5)]) == 3
         assert "D/phi overflows past 37.68" in capsys.readouterr().err

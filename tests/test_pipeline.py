@@ -4,20 +4,24 @@ import time
 
 import numpy as np
 import pytest
+from oracles import ramp_end_breaks, ramp_end_features
 
 from momentforge import (
     PushforwardDist,
     SlopeTarget,
     ValidationError,
     VerifyConfig,
+    chi_squared_vs_gaussian,
     compile_instance,
     evolve,
     hermite_rule,
     instance_eval,
     layout,
     reduce_rule,
+    tv_hidden_pair,
     verify_instance,
 )
+from momentforge import verify as verify_module
 from momentforge.bumps import instance_pushforward_moment
 from momentforge.gaussian import gaussian_moment
 
@@ -106,3 +110,43 @@ def test_verify_defaults_pass_valid_builds():
                 assert report.w1_flow_passed
     assert verdicts == {row: row != (3, "end") for row in verdicts}
     assert time.perf_counter() - start <= SWEEP_BUDGET_S
+
+
+@pytest.fixture(scope="module")
+def sweep_builds():
+    """(m, build) -> evolved instance for the rows of the sweep above."""
+    builds = {}
+    for m, eps0 in NAMED_EPS0.items():
+        initial = layout(reduce_rule(hermite_rule(m)), eps0, NU)
+        for label, target in (("default", 1000.0 * eps0), ("end", 1.0)):
+            builds[m, label] = evolve(initial, SlopeTarget(eps_target=target))[0]
+    return builds
+
+
+def test_marginal_features_are_distinct(sweep_builds):
+    # Each feature is bracketed at multiples of sigma, so a second copy of a
+    # point a few ulps away adds only panels narrower than its rounding.
+    for row, evolved in sweep_builds.items():
+        dist = PushforwardDist.from_instance(evolved, VerifyConfig.sigma)
+        assert np.all(np.diff(dist.feature_points()) > 1e-9), row
+
+
+@pytest.mark.parametrize("row", [(5, "default"), (9, "end"), (15, "default")])
+def test_atom_breaks_agree_with_ramp_end_breaks(sweep_builds, monkeypatch, row):
+    # Each ramp end, recomputed as slope * g + intercept, lies within that
+    # sum's rounding of an atom value (the slope scales it up to 1e-4 at
+    # eps 1e-11), and chi^2 and TV on breaks that also bracket the ends
+    # agree within their errors.
+    dist = PushforwardDist.from_instance(sweep_builds[row], VerifyConfig.sigma)
+    law = dist.law
+    g, slope, intercept = law.ramps[:, :2], law.ramps[:, 2:3], law.ramps[:, 3:]
+    ends = law.coef * (slope * g + intercept)
+    rounding = 4.0 * np.finfo(float).eps * law.coef * (np.abs(slope * g) + np.abs(intercept))
+    gap = np.min(np.abs(ends[..., None] - dist.feature_points()), axis=-1)
+    assert np.all(gap <= rounding)
+    assert len(ramp_end_features(law)) > len(dist.feature_points())
+    chi, tv = chi_squared_vs_gaussian(dist), tv_hidden_pair(dist, 0.5)
+    monkeypatch.setattr(verify_module, "_ratio_breaks", ramp_end_breaks)
+    chi_ref, tv_ref = chi_squared_vs_gaussian(dist), tv_hidden_pair(dist, 0.5)
+    assert abs(chi.value - chi_ref.value) <= chi.error_estimate + chi_ref.error_estimate
+    assert abs(tv - tv_ref) <= tv.error + tv_ref.error

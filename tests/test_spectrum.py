@@ -103,7 +103,7 @@ class TestSpectralSums:
         bound = verify_module._chi_squared_tail(dist5, near)
         assert 0.0 < right + left <= bound <= 1e5 * (right + left)
         # At the default breaks the tail is negligible.
-        edge = verify_module._plane_breaks(dist5)[-1]
+        edge = dist5.law.panel_breaks()[-1]
         assert verify_module._chi_squared_tail(dist5, edge) <= 1e-30
 
     def test_correlation_carries_its_error(self, dist5):

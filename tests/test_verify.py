@@ -26,7 +26,7 @@ from momentforge import (
 from momentforge import distributions as distributions_module
 from momentforge import verify as verify_module
 from momentforge.bumps import instance_eval
-from momentforge.distributions import ProjectedLaw
+from momentforge.distributions import TAIL_SIGMAS, ProjectedLaw
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,19 @@ class TestChiSquared:
     def test_ratio_overflow_guarded(self, dist5, monkeypatch):
         # 1/phi(x) overflows past |x| = 37.68, and D^2 * inf would be NaN.
         monkeypatch.setattr(
-            verify_module, "_plane_breaks", lambda dist: np.array([-40.0, 40.0])
+            ProjectedLaw, "panel_breaks", lambda law, jumps=(): np.array([-40.0, 40.0])
         )
         with pytest.raises(NumericGuardError, match="overflows past 37.68"):
             chi_squared_vs_gaussian(dist5)
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.01, 0.05, 0.2, 0.5])
+    def test_ratio_breaks_are_the_law_breaks(self, build5, sigma):
+        _, evolved, _ = build5
+        dist = PushforwardDist.from_instance(evolved, sigma)
+        breaks = dist.law.panel_breaks()
+        assert np.array_equal(verify_module._ratio_breaks(dist), breaks)
+        # The plane reaches TAIL_SIGMAS noise widths past the support radius.
+        assert breaks[-1] == dist.support_radius() + TAIL_SIGMAS * sigma
 
     def test_sigma_domain(self, build5):
         _, evolved, _ = build5
@@ -96,7 +105,7 @@ class TestPairwiseCorrelation:
         # Axis-node densities broadcast against the grid kernel must give the
         # value of the integrand evaluated point by point on the full grid.
         tol = 2e-8
-        want = meshgrid_correlation(dist5, cosine, verify_module._plane_breaks(dist5), tol)
+        want = meshgrid_correlation(dist5, cosine, dist5.law.panel_breaks(), tol)
         assert pairwise_correlation(dist5, cosine, tol_abs=tol) == pytest.approx(
             want, abs=tol
         )
@@ -111,7 +120,7 @@ class TestTvHiddenPair:
         assert tv <= 1.0
 
     def test_axis_densities_shared_across_panels(self, dist5, monkeypatch):
-        # The m=5 plane starts with 66 x 66 panels; a row of panels shares
+        # The m=5 plane starts with 26 x 26 panels; a row of panels shares
         # one density evaluation per axis and order, so the count stays far
         # below two per panel.
         calls = []
@@ -129,7 +138,7 @@ class TestTvHiddenPair:
 
     @pytest.mark.parametrize("marginal, cosine", [("m5", 0.1), ("m5", 0.5)])
     def test_bit_equal_to_per_row_densities(self, dist5, marginal, cosine):
-        breaks = verify_module._plane_breaks(dist5)
+        breaks = dist5.law.panel_breaks()
         value, error = per_row_tv(dist5, cosine, breaks, 1e-4)
         tv = tv_hidden_pair(dist5, cosine, tol_abs=1e-4)
         assert float(tv) == value
@@ -142,7 +151,7 @@ class TestTvHiddenPair:
     def test_agrees_with_kernel_pair_form(self, build5, marginal, sigma, cosine):
         _, evolved, _ = build5
         dist = PushforwardDist.from_instance(evolved, sigma)
-        breaks = verify_module._plane_breaks(dist)
+        breaks = dist.law.panel_breaks()
         value, error = kernel_pair_tv(dist, cosine, breaks, 1e-4)
         tv = tv_hidden_pair(dist, cosine, tol_abs=1e-4)
         assert abs(float(tv) - value) <= 1e-15
@@ -175,7 +184,7 @@ class TestTvHiddenPair:
     def test_ratio_overflow_guarded(self, dist5, monkeypatch):
         # exp(t^2 / 2) is inf past |t| = 37.68, and D(t) * inf would be NaN.
         monkeypatch.setattr(
-            verify_module, "_plane_breaks", lambda dist: np.array([-40.0, 40.0])
+            ProjectedLaw, "panel_breaks", lambda law, jumps=(): np.array([-40.0, 40.0])
         )
         with pytest.raises(NumericGuardError, match="overflows past 37.68"):
             tv_hidden_pair(dist5, 0.5)
