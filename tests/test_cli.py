@@ -151,7 +151,9 @@ class TestVerify:
         assert parse_float(support["error_estimate"]) <= 1e-10
 
     @pytest.mark.parametrize("sigma", [None, "0.005"])
-    def test_support_distance_rebuilt_from_report(self, built_m5, tmp_path, capsys, sigma):
+    def test_support_distance_rebuilt_from_report(
+        self, built_m5, tmp_path, capsys, sigma
+    ):
         # The report records the sigma, cosine and threshold of the support
         # check, so the build file and that record rebuild it bit for bit.
         path = tmp_path / "report.json"

@@ -125,7 +125,7 @@ def sweep_builds():
 
 def test_marginal_features_are_distinct(sweep_builds):
     # Each feature is bracketed at multiples of sigma, so a second copy of a
-    # point a few ulps away adds only panels narrower than its rounding.
+    # point, off by rounding, adds only slivers of panels.
     for row, evolved in sweep_builds.items():
         dist = PushforwardDist.from_instance(evolved, VerifyConfig.sigma)
         assert np.all(np.diff(dist.feature_points()) > 1e-9), row
@@ -141,7 +141,8 @@ def test_atom_breaks_agree_with_ramp_end_breaks(sweep_builds, monkeypatch, row):
     law = dist.law
     g, slope, intercept = law.ramps[:, :2], law.ramps[:, 2:3], law.ramps[:, 3:]
     ends = law.coef * (slope * g + intercept)
-    rounding = 4.0 * np.finfo(float).eps * law.coef * (np.abs(slope * g) + np.abs(intercept))
+    rounding = 4.0 * np.finfo(float).eps * law.coef
+    rounding *= np.abs(slope * g) + np.abs(intercept)
     gap = np.min(np.abs(ends[..., None] - dist.feature_points()), axis=-1)
     assert np.all(gap <= rounding)
     assert len(ramp_end_features(law)) > len(dist.feature_points())
