@@ -56,10 +56,8 @@ from .network import (
     LiftedNetwork,
     ReluNetwork1D,
     ReluUnit,
-    SmoothedNetwork,
     compile_instance,
     lift,
-    smooth_inner,
 )
 from .sq import (
     MonomialQuery,

@@ -35,8 +35,8 @@ from .flow import EvolutionTrace, SlopeTarget, evolve
 from .gaussian import hermite_rule, reduce_rule
 from .network import (
     LiftedNetwork,
+    ReluNetwork1D,
     ReluUnit,
-    SmoothedNetwork,
     compile_instance,
     householder_rotation,
     lift,
@@ -145,31 +145,6 @@ def _load_build(path: str):
     return data, initial, evolved, reduced
 
 
-def _trace_from_payload(payload: dict) -> EvolutionTrace:
-    trace = EvolutionTrace()
-    trace.times = parse_float_list(payload["times"])
-    trace.eps_values = parse_float_list(payload["eps"])
-    trace.heights = [np.array(parse_float_list(h)) for h in payload["heights"]]
-    trace.sigma_mins = parse_float_list(payload["sigma_mins"])
-    trace.moment_residuals = [
-        np.array(parse_float_list(r)) for r in payload["moment_residuals"]
-    ]
-    trace.step_sizes = parse_float_list(payload["step_sizes"])
-    trace.direction_norms = parse_float_list(payload["direction_norms"])
-    trace.newton_iterations = [int(n) for n in payload["newton_iterations"]]
-    trace.step_cuts = {cause: int(n) for cause, n in payload["step_cuts"].items()}
-    trace.target_reached = bool(payload["target_reached"])
-    trace.stop_reason = payload["stop_reason"]
-    trace.projection_applied = bool(payload["projection"]["applied"])
-    trace.residual_before_projection = parse_float(
-        payload["projection"]["residual_before"]
-    )
-    trace.residual_after_projection = parse_float(
-        payload["projection"]["residual_after"]
-    )
-    return trace
-
-
 def _report_to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -189,11 +164,16 @@ def _report_to_jsonable(obj):
 
 def cmd_verify(args) -> int:
     data, initial, evolved, _ = _load_build(args.instance)
-    trace = _trace_from_payload(data["trace"])
-    network = compile_instance(evolved)
+    # The report reads only these two records of the trace.
+    trace = EvolutionTrace(
+        sigma_mins=parse_float_list(data["trace"]["sigma_mins"]),
+        moment_residuals=[
+            np.array(parse_float_list(r)) for r in data["trace"]["moment_residuals"]
+        ],
+    )
     cosines = tuple(args.cosine) if args.cosine else VerifyConfig.correlation_cosines
     config = VerifyConfig(nu=args.nu, sigma=args.sigma, correlation_cosines=cosines)
-    report = verify_instance(initial, evolved, network, config, trace=trace)
+    report = verify_instance(initial, evolved, config, trace=trace)
 
     print(f"verification report (m={report.m}, sigma={config.sigma}, nu={config.nu})")
     for k, err in enumerate(report.moment_errors, start=1):
@@ -241,14 +221,17 @@ def cmd_verify(args) -> int:
 
 
 def _network_payload(net: LiftedNetwork) -> dict:
+    """The file spells f* in its two inputs (z1, z2): each unit's z2 weight
+    is 0 and the linear term is (0, sigma)."""
+    zero = fnum(0.0)
     return {
         "schema": SCHEMA,
         "kind": "lifted",
         "units": [
-            {"s": u.sign, "w": fnum_list(u.weights), "b": fnum(u.bias)}
+            {"s": u.sign, "w": [fnum(u.weight), zero], "b": fnum(u.bias)}
             for u in net.inner.units
         ],
-        "linear": fnum_list(net.inner.linear),
+        "linear": [zero, fnum(net.sigma)],
         "sigma": fnum(net.sigma),
         "v": fnum_list(net.v),
         "d": net.d,
@@ -256,24 +239,28 @@ def _network_payload(net: LiftedNetwork) -> dict:
 
 
 def network_from_payload(payload: dict) -> LiftedNetwork:
+    """Read a lifted network, refusing a file whose redundant fields (the z2
+    weights, the linear term, d) disagree with its units, sigma and v."""
     kind = payload.get("kind")
     if kind != "lifted":
         raise ValidationError(f"unknown network kind {kind!r}")
-    units = tuple(
-        ReluUnit(
-            sign=int(u["s"]),
-            weights=tuple(parse_float_list(u["w"])),
-            bias=parse_float(u["b"]),
-        )
-        for u in payload["units"]
-    )
     sigma = parse_float(payload["sigma"])
+    units = []
+    for i, u in enumerate(payload["units"]):
+        w = parse_float_list(u["w"])
+        if len(w) != 2 or w[1] != 0.0:
+            raise ValidationError(f"unit {i}: weights {u['w']} are not (w, 0)")
+        units.append(ReluUnit(sign=int(u["s"]), weight=w[0], bias=parse_float(u["b"])))
+    if parse_float_list(payload["linear"]) != [0.0, sigma]:
+        raise ValidationError(f"linear term {payload['linear']} is not (0, sigma)")
     v = np.array(parse_float_list(payload["v"]))
-    inner = SmoothedNetwork(
-        units=units, linear=tuple(parse_float_list(payload["linear"])), sigma=sigma
-    )
+    if int(payload["d"]) != v.size:
+        raise ValidationError(f"d = {payload['d']} but v has {v.size} entries")
     return LiftedNetwork(
-        d=int(payload["d"]), v=v, sigma=sigma, inner=inner, rotation=householder_rotation(v)
+        v=v,
+        sigma=sigma,
+        inner=ReluNetwork1D(units=tuple(units)),
+        rotation=householder_rotation(v),
     )
 
 

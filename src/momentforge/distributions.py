@@ -242,12 +242,6 @@ class PushforwardDist:
         """Largest |scale * height|."""
         return self.scale * float(np.max(np.abs(self.inst.heights())))
 
-    def integration_bound(self) -> float:
-        return self.law.integration_bound()
-
-    def feature_points(self) -> np.ndarray:
-        return self.law.feature_points()
-
     def density(self, x):
         return self.law.density(x)
 

@@ -1,14 +1,12 @@
-"""Compile bump instances into explicit one-hidden-layer ReLU networks,
-attach the Gaussian-smoothing second input, and lift to the d-dimensional
-hidden-direction generator.
+"""Compile bump instances into explicit one-hidden-layer ReLU networks and
+lift them to the d-dimensional hidden-direction generator.
 
 Each bump becomes four signed ReLU units with breakpoints at its support and
 plateau edges; the slope magnitude |height| / ramp is folded into the unit
-weights so every unit reads sign * relu(a z + b) with a > 0.  The smoothed
-map (z1, z2) -> sqrt(1 - sigma^2) f(z1) + sigma z2 keeps the pass-through
-coordinate as an explicit linear term; the size report also counts it as
-the ReLU pair relu(x) - relu(-x).  The lift applies a Householder
-reflection taking e_1 to the hidden direction, so every output coordinate is
+weights so every unit reads sign * relu(a z + b) with a > 0.  The lift
+scales those units by sqrt(1 - sigma^2), so f*(z1, z2) = inner(z1) + sigma z2
+is the smoothed map, and applies a Householder reflection taking e_1 to the
+hidden direction, so every output coordinate is
 alpha * f*(z1, z2) + <u, (z3, ..., z_{d+1})>.
 """
 
@@ -25,10 +23,8 @@ from .errors import ValidationError
 __all__ = [
     "ReluUnit",
     "ReluNetwork1D",
-    "SmoothedNetwork",
     "LiftedNetwork",
     "compile_instance",
-    "smooth_inner",
     "lift",
     "householder_rotation",
 ]
@@ -36,35 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReluUnit:
-    """One signed ReLU unit: sign * relu(<weights, x> + bias)."""
+    """One signed ReLU unit: sign * relu(weight * z + bias)."""
 
     sign: int
-    weights: tuple[float, ...]
+    weight: float
     bias: float
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValidationError("unit sign must be +1 or -1")
-        if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
+        if not math.isfinite(self.weight) or not math.isfinite(self.bias):
             raise ValidationError("unit parameters must be finite")
-
-
-def _unit_arrays(units: tuple[ReluUnit, ...]):
-    signs = np.array([u.sign for u in units], dtype=float)
-    W = np.array([u.weights for u in units], dtype=float)
-    b = np.array([u.bias for u in units], dtype=float)
-    return signs, W, b
-
-
-def _forward(units: tuple[ReluUnit, ...], linear: tuple[float, ...], z: np.ndarray) -> np.ndarray:
-    """Sum of signed ReLU units plus a linear term, batched over rows of z."""
-    out = np.zeros(z.shape[0])
-    if units:
-        signs, W, b = _unit_arrays(units)
-        out = out + (np.maximum(z @ W.T + b, 0.0) * signs).sum(axis=1)
-    if linear:
-        out = out + z @ np.asarray(linear)
-    return out
 
 
 @dataclass(frozen=True)
@@ -83,11 +61,16 @@ class ReluNetwork1D:
         accounting)."""
         if not self.units:
             return 0.0
-        return max(max(abs(u.weights[0]), abs(u.bias)) for u in self.units)
+        return max(max(abs(u.weight), abs(u.bias)) for u in self.units)
 
     def eval(self, z):
+        """Sum of the signed units, batched over the entries of z."""
         z = np.asarray(z, dtype=float)
-        out = _forward(self.units, (), np.atleast_1d(z).reshape(-1, 1))
+        signs = np.array([u.sign for u in self.units], dtype=float)
+        weights = np.array([[u.weight for u in self.units]], dtype=float)
+        biases = np.array([u.bias for u in self.units], dtype=float)
+        column = np.atleast_1d(z).reshape(-1, 1)
+        out = (np.maximum(column @ weights + biases, 0.0) * signs).sum(axis=1)
         return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -109,7 +92,7 @@ def bump_units(b) -> tuple[ReluUnit, ...]:
         (-c - w, -1),
         (-c - e - w, 1),
     ):
-        units.append(ReluUnit(sign=hsign * term_sign, weights=(a,), bias=a * offset))
+        units.append(ReluUnit(sign=hsign * term_sign, weight=a, bias=a * offset))
     return tuple(units)
 
 
@@ -122,45 +105,6 @@ def compile_instance(inst: BumpInstance) -> ReluNetwork1D:
     for b in inst.bumps:
         units.extend(bump_units(b))
     return ReluNetwork1D(units=tuple(units))
-
-
-@dataclass(frozen=True)
-class SmoothedNetwork:
-    """Two-input map sqrt(1-sigma^2) f(z1) + sigma z2, the z2 pass-through
-    in `linear`."""
-
-    units: tuple[ReluUnit, ...]
-    linear: tuple[float, float]
-    sigma: float
-
-    @property
-    def size(self) -> int:
-        return len(self.units)
-
-    @property
-    def relu_size_strict(self) -> int:
-        """Unit count with linear terms expanded as relu(x) - relu(-x)."""
-        return len(self.units) + 2 * sum(1 for c in self.linear if c != 0.0)
-
-    def eval(self, z):
-        z = np.asarray(z, dtype=float)
-        batch = np.atleast_2d(z)
-        if batch.shape[1] != 2:
-            raise ValidationError("smoothed network expects 2 input coordinates")
-        out = _forward(self.units, self.linear, batch)
-        return float(out[0]) if z.ndim == 1 else out
-
-
-def smooth_inner(net: ReluNetwork1D, sigma: float) -> SmoothedNetwork:
-    """Scale the inner network by sqrt(1-sigma^2) and add the sigma z2 term."""
-    if not 0.0 < sigma < 1.0:
-        raise ValidationError(f"sigma must lie in (0,1), got {sigma}")
-    scale = math.sqrt(1.0 - sigma * sigma)
-    units = [
-        ReluUnit(sign=u.sign, weights=(scale * u.weights[0], 0.0), bias=scale * u.bias)
-        for u in net.units
-    ]
-    return SmoothedNetwork(units=tuple(units), linear=(0.0, sigma), sigma=sigma)
 
 
 def householder_rotation(v: np.ndarray) -> np.ndarray:
@@ -182,25 +126,25 @@ def householder_rotation(v: np.ndarray) -> np.ndarray:
 class LiftedNetwork:
     """Generator R^{d+1} -> R^d realizing the hidden-direction pushforward.
 
-    Output j is rotation[j, 0] * inner(z1, z2) + <rotation[j, 1:], z[3:]>.
+    inner holds the compiled units scaled by sqrt(1 - sigma^2), so
+    f*(z1, z2) = inner(z1) + sigma z2, and output j is
+    rotation[j, 0] * f*(z1, z2) + <rotation[j, 1:], (z3, ..., z_{d+1})>.
     """
 
-    d: int
     v: np.ndarray
     sigma: float
-    inner: SmoothedNetwork
+    inner: ReluNetwork1D
     rotation: np.ndarray
 
+    @property
+    def d(self) -> int:
+        return self.v.size
+
     def size_report(self) -> dict:
-        """Per-coordinate size under both accounting conventions."""
-        inner_units = self.inner.size
-        inner_strict = self.inner.relu_size_strict
-        return {
-            "inner_relu_units": inner_units,
-            "inner_relu_units_strict": inner_strict,
-            "per_coordinate_with_linear_terms": inner_units,
-            "per_coordinate_pure_relu": inner_strict + 2,
-        }
+        """Per-coordinate size: the inner units, and the pure-ReLU count that
+        also writes sigma z2 and the orthogonal part as relu(x) - relu(-x)."""
+        units = self.inner.size
+        return {"inner_relu_units": units, "per_coordinate_pure_relu": units + 4}
 
     def eval(self, z):
         z = np.asarray(z, dtype=float)
@@ -209,19 +153,28 @@ class LiftedNetwork:
             raise ValidationError(
                 f"expected {self.d + 1} input coordinates, got {batch.shape[1]}"
             )
-        fstar = _forward(self.inner.units, self.inner.linear, batch[:, :2])
+        fstar = self.inner.eval(batch[:, 0]) + self.sigma * batch[:, 1]
         stacked = np.concatenate([fstar[:, None], batch[:, 2:]], axis=1)
         out = stacked @ self.rotation.T
         return out[0] if z.ndim == 1 else out
 
 
 def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwork:
-    """Lift the 1-D network to the d-dimensional hidden-direction generator."""
+    """Lift the 1-D network to the d-dimensional hidden-direction generator,
+    its units scaled by sqrt(1 - sigma^2)."""
     if d < 2:
         raise ValidationError("ambient dimension must be >= 2")
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise ValidationError(f"direction must have dimension {d}")
     rotation = householder_rotation(v)
-    inner = smooth_inner(net, sigma)
-    return LiftedNetwork(d=d, v=v, sigma=sigma, inner=inner, rotation=rotation)
+    if not 0.0 < sigma < 1.0:
+        raise ValidationError(f"sigma must lie in (0,1), got {sigma}")
+    scale = math.sqrt(1.0 - sigma * sigma)
+    inner = ReluNetwork1D(
+        units=tuple(
+            ReluUnit(sign=u.sign, weight=scale * u.weight, bias=scale * u.bias)
+            for u in net.units
+        )
+    )
+    return LiftedNetwork(v=v, sigma=sigma, inner=inner, rotation=rotation)

@@ -34,7 +34,7 @@ from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
 from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
 from .integrate import ROUNDING_ULPS, Estimate, panel_integrate_1d, panel_integrate_2d
-from .network import ReluNetwork1D
+from .network import compile_instance
 
 # A spectral sum needing more terms than this raises SeriesTruncationError.
 SERIES_TERM_CEILING = 1_000_000
@@ -400,7 +400,6 @@ def _recorded(report: VerificationReport, label: str):
 def verify_instance(
     initial: BumpInstance,
     evolved: BumpInstance,
-    network: ReluNetwork1D,
     config: VerifyConfig,
     trace: EvolutionTrace | None = None,
 ) -> VerificationReport:
@@ -421,7 +420,7 @@ def verify_instance(
 
     report.slope_max = evolved.max_slope()
     with _recorded(report, "network"):
-        report.weight_bound = network.weight_bound
+        report.weight_bound = compile_instance(evolved).weight_bound
 
     chi_value, chi_error = math.inf, math.inf
     with _recorded(report, "chi-squared"):

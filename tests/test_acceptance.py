@@ -221,9 +221,9 @@ def test_criterion_06_network_fidelity(build5):
 def test_criterion_07_low_degree_moments(dist5):
     with criterion(7, "smoothed pushforward moment matching", 120.0):
         # Quadrature route: integrate x^k against the closed-form density.
-        bound = dist5.integration_bound()
+        bound = dist5.law.integration_bound()
         breaks = feature_breakpoints(
-            -bound, bound, dist5.feature_points(), dist5.sigma
+            -bound, bound, dist5.law.feature_points(), dist5.sigma
         )
         for k in range(1, 6):
             val, _ = panel_integrate_1d(

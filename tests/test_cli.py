@@ -28,8 +28,7 @@ from momentforge import distributions
 from momentforge import verify as verify_module
 from momentforge.cli import (
     _hidden_direction,
-    _trace_from_payload,
-    _trace_payload,
+    _network_payload,
     main,
     network_from_payload,
 )
@@ -74,12 +73,11 @@ class TestBuild:
         heights = inst.heights()
         assert heights[0] == pytest.approx(-heights[1], abs=1e-12)
         assert data["flags"]["target_reached"]
-        # The trace's continuation counters survive a write and a read.
-        trace = _trace_from_payload(data["trace"])
-        assert len(trace.newton_iterations) == len(trace.times)
-        assert trace.newton_iterations[0] == 0
-        assert set(trace.step_cuts) == {"corrector", "guard", "sigma-drop"}
-        assert _trace_payload(trace) == data["trace"]
+        # The trace records its continuation counters.
+        trace = data["trace"]
+        assert len(trace["newton_iterations"]) == len(trace["times"])
+        assert trace["newton_iterations"][0] == 0
+        assert set(trace["step_cuts"]) == {"corrector", "guard", "sigma-drop"}
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"
@@ -281,7 +279,8 @@ class TestExportAndSample:
         z = np.random.default_rng(0).standard_normal((10, 5))
         out = net.eval(z)
         assert out.shape == (10, 4)
-        assert np.allclose(out @ net.v, net.inner.eval(z[:, :2]), atol=1e-10)
+        fstar = net.inner.eval(z[:, 0]) + net.sigma * z[:, 1]
+        assert np.allclose(out @ net.v, fstar, atol=1e-10)
 
     def test_null_sampling_ignores_instance(self, built_m3, built_m5, tmp_path):
         out_a = tmp_path / "null_a.csv"
@@ -557,6 +556,37 @@ class TestSampleStream:
         assert not out.exists()
         args = ["--d", str(self.D), "--n", "3", "--out", str(out)]
         assert main(["sample", str(nets["e1"]), *args]) == 0
+
+    @pytest.mark.parametrize("direction", ["e1", "random"])
+    def test_payload_roundtrip_is_bit_exact(self, nets, direction):
+        payload = load_json(nets[direction])
+        assert _network_payload(network_from_payload(payload)) == payload
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("d",), 3, "v has"),
+            (("units", 0, "w", 1), "1.0", "not (w, 0)"),
+            (("linear",), ["0.0", "0.3"], "not (0, sigma)"),
+        ],
+        ids=["d", "second-weight", "linear"],
+    )
+    def test_malformed_network_exits_2(self, nets, tmp_path, capsys, path, value, message):
+        # A field the file states twice must agree with its other copy: a
+        # file that disagrees with itself is refused, neither sampled nor
+        # crashed on.
+        payload = load_json(nets["e1"])
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "samples.csv"
+        assert main(["sample", str(bad), "--n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",

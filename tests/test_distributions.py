@@ -103,9 +103,9 @@ class TestDensity:
         assert np.allclose(dist5.density(x), dist5.density(-x), rtol=1e-12, atol=1e-300)
 
     def test_normalization(self, dist5):
-        bound = dist5.integration_bound()
+        bound = dist5.law.integration_bound()
         breaks = feature_breakpoints(
-            -bound, bound, dist5.feature_points(), dist5.sigma
+            -bound, bound, dist5.law.feature_points(), dist5.sigma
         )
         total, _ = panel_integrate_1d(lambda x: dist5.density(x), breaks, 1e-10)
         assert total == pytest.approx(1.0, abs=1e-6)

@@ -21,7 +21,6 @@ from momentforge import (
     lift,
     reduce_rule,
     sample_hidden,
-    smooth_inner,
 )
 from momentforge.network import bump_units, householder_rotation
 
@@ -80,22 +79,34 @@ class TestCompile:
             compile_instance(frozen)
 
 
+def smoothed_first_coordinate(net, sigma):
+    """f*(z1, z2) = sqrt(1 - sigma^2) f(z1) + sigma z2, read off the first
+    output of the lift along e_1, whose rotation is the identity."""
+    lifted = lift(net, sigma, 2, np.array([1.0, 0.0]))
+
+    def fstar(pairs):
+        z = np.concatenate([pairs, np.zeros((len(pairs), 1))], axis=1)
+        return lifted.eval(z)[:, 0]
+
+    return fstar
+
+
 class TestSmoothInner:
     def test_degenerate_smoothing_limit(self, build5):
         _, evolved, _ = build5
         net = compile_instance(evolved)
-        smoothed = smooth_inner(net, 1e-9)
+        smoothed = smoothed_first_coordinate(net, 1e-9)
         z1 = np.linspace(-3, 3, 101)
         pairs = np.stack([z1, np.zeros_like(z1)], axis=1)
-        assert np.allclose(smoothed.eval(pairs), net.eval(z1), atol=1e-8)
+        assert np.allclose(smoothed(pairs), net.eval(z1), atol=1e-8)
 
     def test_second_moment_identity(self, build5):
         _, evolved, _ = build5
         net = compile_instance(evolved)
         sigma = 0.3
-        smoothed = smooth_inner(net, sigma)
+        smoothed = smoothed_first_coordinate(net, sigma)
         g = np.random.default_rng(3).standard_normal((200_000, 2))
-        vals = smoothed.eval(g)
+        vals = smoothed(g)
         inner_sq = float(np.mean(net.eval(g[:, 0]) ** 2))
         want = (1 - sigma**2) * inner_sq + sigma**2
         got = float(np.mean(vals**2))
@@ -104,16 +115,16 @@ class TestSmoothInner:
 
     def test_odd_symmetry(self, build5):
         _, evolved, _ = build5
-        smoothed = smooth_inner(compile_instance(evolved), 0.05)
+        smoothed = smoothed_first_coordinate(compile_instance(evolved), 0.05)
         z = np.random.default_rng(4).uniform(-3, 3, size=(100, 2))
         flipped = -z
-        assert np.allclose(smoothed.eval(z) + smoothed.eval(flipped), 0.0, atol=1e-10)
+        assert np.allclose(smoothed(z) + smoothed(flipped), 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.2, 1.5])
     def test_sigma_domain(self, build5, sigma):
         _, evolved, _ = build5
         with pytest.raises(ValidationError):
-            smooth_inner(compile_instance(evolved), sigma)
+            lift(compile_instance(evolved), sigma, 2, np.array([1.0, 0.0]))
 
 
 class TestHouseholder:
@@ -147,8 +158,8 @@ class TestLift:
         lifted = lift(net, 0.05, d, v)
         z = np.random.default_rng(6).standard_normal((40, d + 1))
         out = lifted.eval(z)
-        inner = lifted.inner.eval(z[:, :2])
-        assert np.allclose(out[:, 0], inner, atol=1e-12)
+        fstar = lifted.inner.eval(z[:, 0]) + 0.05 * z[:, 1]
+        assert np.allclose(out[:, 0], fstar, atol=1e-12)
         assert np.allclose(out[:, 1:], z[:, 2:], atol=1e-12)
 
     def test_projection_recovers_inner(self, build5, rng):
@@ -159,7 +170,8 @@ class TestLift:
         v /= np.linalg.norm(v)
         lifted = lift(net, 0.05, d, v)
         z = rng.standard_normal((100, d + 1))
-        assert np.allclose(lifted.eval(z) @ v, lifted.inner.eval(z[:, :2]), atol=1e-10)
+        fstar = lifted.inner.eval(z[:, 0]) + 0.05 * z[:, 1]
+        assert np.allclose(lifted.eval(z) @ v, fstar, atol=1e-10)
 
     def test_orthogonal_components_gaussian(self, build5, rng):
         _, evolved, _ = build5
@@ -180,8 +192,8 @@ class TestLift:
         net = compile_instance(evolved)
         lifted = lift(net, 0.05, 4, np.array([1.0, 0.0, 0.0, 0.0]))
         sizes = lifted.size_report()
+        assert set(sizes) == {"inner_relu_units", "per_coordinate_pure_relu"}
         assert sizes["inner_relu_units"] == 4 * (evolved.m - 1)
-        assert sizes["inner_relu_units_strict"] == 4 * (evolved.m - 1) + 2
         assert sizes["per_coordinate_pure_relu"] == 4 * (evolved.m - 1) + 4
 
     def test_non_unit_direction_rejected(self, build5):
@@ -221,7 +233,7 @@ class TestEvaluate:
         assert net.eval(0.7) == 0.0
 
     def test_single_unit_cutoff(self):
-        net = ReluNetwork1D(units=(ReluUnit(sign=1, weights=(1.0,), bias=0.0),))
+        net = ReluNetwork1D(units=(ReluUnit(sign=1, weight=1.0, bias=0.0),))
         assert net.eval(-3.0) == 0.0
         assert net.eval(2.0) == 2.0
 

@@ -96,9 +96,7 @@ def test_verify_defaults_pass_valid_builds():
         initial = layout(reduced, eps0, NU)
         for label, target in (("default", 1000.0 * eps0), ("end", 1.0)):
             evolved, trace = evolve(initial, SlopeTarget(eps_target=target))
-            report = verify_instance(
-                initial, evolved, compile_instance(evolved), VerifyConfig(), trace=trace
-            )
+            report = verify_instance(initial, evolved, VerifyConfig(), trace=trace)
             assert not report.errors, (m, label)
             assert all(c.passed for c in report.pairwise_corr), (m, label)
             verdicts[m, label] = report.all_passed()
@@ -128,7 +126,7 @@ def test_marginal_features_are_distinct(sweep_builds):
     # point, off by rounding, adds only slivers of panels.
     for row, evolved in sweep_builds.items():
         dist = PushforwardDist.from_instance(evolved, VerifyConfig.sigma)
-        assert np.all(np.diff(dist.feature_points()) > 1e-9), row
+        assert np.all(np.diff(dist.law.feature_points()) > 1e-9), row
 
 
 @pytest.mark.parametrize("row", [(5, "default"), (9, "end"), (15, "default")])
@@ -143,9 +141,9 @@ def test_atom_breaks_agree_with_ramp_end_breaks(sweep_builds, monkeypatch, row):
     ends = law.coef * (slope * g + intercept)
     rounding = 4.0 * np.finfo(float).eps * law.coef
     rounding *= np.abs(slope * g) + np.abs(intercept)
-    gap = np.min(np.abs(ends[..., None] - dist.feature_points()), axis=-1)
+    gap = np.min(np.abs(ends[..., None] - law.feature_points()), axis=-1)
     assert np.all(gap <= rounding)
-    assert len(ramp_end_features(law)) > len(dist.feature_points())
+    assert len(ramp_end_features(law)) > len(law.feature_points())
     chi, tv = chi_squared_vs_gaussian(dist), tv_hidden_pair(dist, 0.5)
     monkeypatch.setattr(verify_module, "_ratio_breaks", ramp_end_breaks)
     chi_ref, tv_ref = chi_squared_vs_gaussian(dist), tv_hidden_pair(dist, 0.5)
