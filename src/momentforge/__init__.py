@@ -21,8 +21,6 @@ from .bumps import (
 from .distributions import (
     HiddenDirectionDist,
     PushforwardDist,
-    generate_directions,
-    sample_hidden,
     sample_null,
 )
 from .errors import (

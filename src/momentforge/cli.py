@@ -129,13 +129,28 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _fields_of(path: str):
+    """Report a missing or mistyped field of the file at path as a
+    ValidationError that names the file."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}: malformed file ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def _load_build(path: str):
     data = load_json(path)
     if data.get("kind") != "instance":
         raise ValidationError(f"{path} is not an instance file")
-    initial = instance_from_payload(data["initial"])
-    evolved = instance_from_payload(data["evolved"])
-    reduced = reduced_rule_from_payload(data["reduced_rule"])
+    with _fields_of(path):
+        initial = instance_from_payload(data["initial"])
+        evolved = instance_from_payload(data["evolved"])
+        reduced = reduced_rule_from_payload(data["reduced_rule"])
     for inst in (initial, evolved):
         for i, (b, lam) in enumerate(zip(inst.bumps, reduced.weights)):
             if abs(b.plateau_mass - lam) > 1e-10:
@@ -165,12 +180,14 @@ def _report_to_jsonable(obj):
 def cmd_verify(args) -> int:
     data, initial, evolved, _ = _load_build(args.instance)
     # The report reads only these two records of the trace.
-    trace = EvolutionTrace(
-        sigma_mins=parse_float_list(data["trace"]["sigma_mins"]),
-        moment_residuals=[
-            np.array(parse_float_list(r)) for r in data["trace"]["moment_residuals"]
-        ],
-    )
+    with _fields_of(args.instance):
+        trace = EvolutionTrace(
+            sigma_mins=parse_float_list(data["trace"]["sigma_mins"]),
+            moment_residuals=[
+                np.array(parse_float_list(r))
+                for r in data["trace"]["moment_residuals"]
+            ],
+        )
     cosines = tuple(args.cosine) if args.cosine else VerifyConfig.correlation_cosines
     config = VerifyConfig(nu=args.nu, sigma=args.sigma, correlation_cosines=cosines)
     report = verify_instance(initial, evolved, config, trace=trace)
@@ -350,7 +367,8 @@ def cmd_sample(args) -> int:
         blocks = null_blocks(args.d, args.n, args.seed)
     elif kind == "lifted":
         _reject_law_flags(args, "to a network file: the network fixes sigma and v")
-        net = network_from_payload(data)
+        with _fields_of(args.file):
+            net = network_from_payload(data)
         if args.d is not None and args.d != net.d:
             raise ValidationError(
                 f"--d {args.d} does not match the network's d = {net.d}"
@@ -454,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stop once max |height| / ramp falls to this value",
     )
-    p_build.add_argument("--seed", type=int, default=0)
+    p_build.add_argument("--seed", type=int, default=0, help="has no effect")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 

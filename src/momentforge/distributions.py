@@ -41,12 +41,10 @@ __all__ = [
     "ProjectedLaw",
     "PushforwardDist",
     "HiddenDirectionDist",
-    "sample_hidden",
     "sample_null",
     "hidden_blocks",
     "null_blocks",
     "latent_blocks",
-    "generate_directions",
     "comb_indicator",
     "rng_stream",
     "series_terms",
@@ -56,11 +54,11 @@ __all__ = [
 STREAM_MARGINAL = 1
 STREAM_HIDDEN = 2
 STREAM_NULL = 3
-STREAM_DIRECTIONS = 4
 STREAM_ORACLE = 6
 STREAM_DIRECTION = 0x45  # a seeded random hidden direction
 STREAM_TRIAL_DIRECTION = 0x46  # a distinguisher trial's hidden direction
 STREAM_LATENT = 0x5A  # the latent inputs z of a lifted network
+# Ids 4 and 5 are drawn by the cross-check oracles in tests/oracles.py.
 
 # Integration bounds reach this many noise widths past the farthest feature.
 TAIL_SIGMAS = 10.0
@@ -423,37 +421,7 @@ def latent_blocks(
     return _gaussian_blocks(seed, STREAM_LATENT, n, width, rows)
 
 
-def sample_hidden(hd: HiddenDirectionDist, n: int, seed: int) -> np.ndarray:
-    """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d)."""
-    return next(hidden_blocks(hd, n, seed, rows=n))
-
-
 def sample_null(d: int, n: int, seed: int) -> np.ndarray:
     """n standard Gaussian vectors in R^d, deterministic given seed."""
     return next(null_blocks(d, n, seed, rows=n))
 
-
-def generate_directions(
-    d: int, count: int, max_overlap: float, seed: int, retry_budget: int | None = None
-) -> list[np.ndarray]:
-    """Random unit vectors with pairwise |<u, v>| < max_overlap, by rejection."""
-    if count < 2:
-        raise ValidationError("need at least two directions")
-    if not 0.0 < max_overlap < 1.0:
-        raise ValidationError("max_overlap must lie in (0,1)")
-    rng = rng_stream(seed, STREAM_DIRECTIONS)
-    budget = retry_budget if retry_budget is not None else 500 * count
-    accepted: list[np.ndarray] = []
-    stacked = np.empty((0, d))
-    for _ in range(budget):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        if stacked.shape[0] == 0 or np.max(np.abs(stacked @ u)) < max_overlap:
-            accepted.append(u)
-            stacked = np.vstack([stacked, u])
-            if len(accepted) == count:
-                return accepted
-    raise ValidationError(
-        f"could not place {count} directions with overlap < {max_overlap} in {d} "
-        "dimensions; increase d or max_overlap"
-    )

@@ -149,10 +149,6 @@ class ReducedRule:
         if not 0.0 < self.gap_mass < 1.0:
             raise ValidationError("gap mass must lie in (0,1)")
 
-    def moment(self, k: int) -> float:
-        vals = np.array(self.weights) * np.array(self.nodes) ** k
-        return float(0.5 * np.sum(vals + vals[::-1]))
-
 
 def hermite_rows(x):
     """Yield h_0(x), h_1(x), ... for the Hermite polynomials orthonormal

@@ -136,6 +136,10 @@ class LiftedNetwork:
     inner: ReluNetwork1D
     rotation: np.ndarray
 
+    def __post_init__(self):
+        if not 0.0 < self.sigma < 1.0:
+            raise ValidationError(f"sigma must lie in (0,1), got {self.sigma}")
+
     @property
     def d(self) -> int:
         return self.v.size
@@ -168,9 +172,9 @@ def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwo
     if v.shape != (d,):
         raise ValidationError(f"direction must have dimension {d}")
     rotation = householder_rotation(v)
-    if not 0.0 < sigma < 1.0:
-        raise ValidationError(f"sigma must lie in (0,1), got {sigma}")
-    scale = math.sqrt(1.0 - sigma * sigma)
+    # LiftedNetwork refuses a sigma outside (0, 1); the clamp only keeps the
+    # root defined until it does.
+    scale = math.sqrt(max(0.0, 1.0 - sigma * sigma))
     inner = ReluNetwork1D(
         units=tuple(
             ReluUnit(sign=u.sign, weight=scale * u.weight, bias=scale * u.bias)

@@ -51,6 +51,9 @@ def parse_float(s) -> float:
 
 
 def parse_float_list(xs) -> list[float]:
+    # A string is iterable too: "10" would read as [1.0, 0.0].
+    if isinstance(xs, str):
+        raise ValidationError(f"expected a list of numbers, got {xs!r}")
     return [float(x) for x in xs]
 
 

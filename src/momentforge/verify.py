@@ -36,7 +36,7 @@ from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
 from .integrate import ROUNDING_ULPS, Estimate, panel_integrate_1d, panel_integrate_2d
 from .network import compile_instance
 
-# A spectral sum needing more terms than this raises SeriesTruncationError.
+# A correlation series needing more terms than this raises SeriesTruncationError.
 SERIES_TERM_CEILING = 1_000_000
 # Absolute tolerance of the flow's W1 integral.
 W1_TOL = 1e-10
@@ -51,13 +51,11 @@ SUPPORT_THRESHOLD_COEF = 0.1
 
 __all__ = [
     "Estimate",
-    "SpectralSum",
     "ChiSquaredResult",
     "BoundCheck",
     "SupportDistanceResult",
     "VerifyConfig",
     "VerificationReport",
-    "spectral_sum",
     "chi_squared_vs_gaussian",
     "pairwise_correlation",
     "tv_hidden_pair",
@@ -66,45 +64,6 @@ __all__ = [
     "distance_to_support",
     "verify_instance",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralSum:
-    """sum_{k=1}^{terms} rho^k a_k^2, the certified bound on the terms after
-    it, and the value's error estimate (that bound plus rounding)."""
-
-    value: float
-    terms: int
-    tail_bound: float
-    error_estimate: float
-
-
-def spectral_sum(dist: PushforwardDist, rho: float, tol_abs: float) -> SpectralSum:
-    """sum_{k>=1} rho^k a_k^2 over dist's Hermite spectrum, |rho| < 1.
-
-    D' has the normalized Hermite coefficients scale^k a_k, so rho = scale^2
-    gives chi^2(D', N) and rho = cosine scale^2 the pairwise correlation
-    (Diakonikolas-Kane-Stewart, FOCS 2017).  With |a_k| <= B, the terms after
-    K add at most B^2 |rho|^(K+1) / (1 - |rho|); K is the smallest count that
-    brings this to tol_abs.  Rounding is estimated as (k + 2) ulps of B in
-    each a_k and (K + 1) ulps of each term in the sum.
-    """
-    if not tol_abs > 0.0:
-        raise ValidationError(f"series tolerance must be positive, got {tol_abs:g}")
-    bound = dist.hermite_bound()
-    constant = bound * bound / (1.0 - abs(rho))
-    terms = series_terms(constant, abs(rho), tol_abs)
-    if terms > SERIES_TERM_CEILING:
-        raise SeriesTruncationError(terms, SERIES_TERM_CEILING)
-    k = np.arange(1, terms + 1)
-    coeffs = dist.hermite_spectrum(terms)[1:]
-    weighted = rho**k * coeffs * coeffs
-    tail = constant * abs(rho) ** (terms + 1)
-    rounding = float(np.finfo(float).eps) * float(
-        np.sum(abs(rho) ** k * 2.0 * (k + 2) * bound * np.abs(coeffs))
-        + (terms + 1) * np.sum(np.abs(weighted))
-    )
-    return SpectralSum(float(np.sum(weighted)), terms, tail, tail + rounding)
 
 
 @dataclass(frozen=True)
@@ -174,14 +133,37 @@ def pairwise_correlation(
     dist: PushforwardDist, cosine: float, tol_abs: float = 1e-6
 ) -> Estimate:
     """chi_{N(0,I)}(P_v, P_v') for directions at the given cosine, as
-    sum_{k>=1} (cosine scale^2)^k a_k^2 to tol_abs; the Estimate carries the
-    spectral sum's error estimate."""
+    sum_{k>=1} rho^k a_k^2 over dist's Hermite spectrum, rho = cosine scale^2,
+    to tol_abs.
+
+    D' has the normalized Hermite coefficients scale^k a_k, so the series at
+    rho is the correlation (Diakonikolas-Kane-Stewart, FOCS 2017).  With
+    |a_k| <= B, the terms after K add at most B^2 |rho|^(K+1) / (1 - |rho|);
+    K is the smallest count that brings this to tol_abs.  The Estimate's
+    error is that bound plus rounding, estimated as (k + 2) ulps of B in
+    each a_k and (K + 1) ulps of each term in the sum.
+    """
     if not abs(cosine) < 1.0:
         raise ValidationError("cosine must satisfy |cosine| < 1")
     if dist.sigma <= 0.0:
         raise ValidationError("pairwise correlation requires sigma > 0")
-    corr = spectral_sum(dist, cosine * dist.scale * dist.scale, tol_abs)
-    return Estimate(corr.value, corr.error_estimate)
+    if not tol_abs > 0.0:
+        raise ValidationError(f"series tolerance must be positive, got {tol_abs:g}")
+    rho = cosine * dist.scale * dist.scale
+    bound = dist.hermite_bound()
+    constant = bound * bound / (1.0 - abs(rho))
+    terms = series_terms(constant, abs(rho), tol_abs)
+    if terms > SERIES_TERM_CEILING:
+        raise SeriesTruncationError(terms, SERIES_TERM_CEILING)
+    k = np.arange(1, terms + 1)
+    coeffs = dist.hermite_spectrum(terms)[1:]
+    weighted = rho**k * coeffs * coeffs
+    tail = constant * abs(rho) ** (terms + 1)
+    rounding = float(np.finfo(float).eps) * float(
+        np.sum(abs(rho) ** k * 2.0 * (k + 2) * bound * np.abs(coeffs))
+        + (terms + 1) * np.sum(np.abs(weighted))
+    )
+    return Estimate(float(np.sum(weighted)), tail + rounding)
 
 
 def tv_hidden_pair(

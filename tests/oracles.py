@@ -8,7 +8,11 @@ runs them concurrently, sampled projections where the library integrates
 the projected law, a factor recomputed per row where the
 library keeps it per sweep, two Gaussian kernels where the library uses
 one likelihood ratio, each ramp's end values listed as features beside the
-atom values where the library takes the atoms alone.
+atom values where the library takes the atoms alone, the hidden-direction
+sample drawn whole where the library streams it in blocks, and chi-squared
+summed as a Hermite series where the library integrates the exact density.
+generate_directions packs random unit vectors with bounded overlaps by
+rejection; the library needs no packing.
 
 The closed-form moment code lives here too.  Truncated Gaussian moments
 E[g^k 1{a <= g <= b}] come from the p_k antiderivative polynomials, from
@@ -30,7 +34,12 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
-from momentforge.distributions import TAIL_SIGMAS, rng_stream
+from momentforge.distributions import (
+    TAIL_SIGMAS,
+    hidden_blocks,
+    rng_stream,
+    series_terms,
+)
 from momentforge.errors import ValidationError
 from momentforge.gaussian import (
     SQRT_2PI,
@@ -50,6 +59,70 @@ _CLOSED_FORM_MAX_ORDER = 20
 # Realistic relative accuracy of one truncated-moment evaluation; feeds the
 # closed-form cancellation estimate.
 _TERM_RELATIVE_ERROR = 1e-13
+
+# generate_directions draws from this Philox stream id.
+STREAM_DIRECTIONS = 4
+
+
+def sample_hidden(hd, n, seed):
+    """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d):
+    the stream of distributions.hidden_blocks drawn as one block."""
+    return next(hidden_blocks(hd, n, seed, rows=n))
+
+
+def generate_directions(d, count, max_overlap, seed, retry_budget=None):
+    """Random unit vectors with pairwise |<u, v>| < max_overlap, by rejection."""
+    if count < 2:
+        raise ValidationError("need at least two directions")
+    if not 0.0 < max_overlap < 1.0:
+        raise ValidationError("max_overlap must lie in (0,1)")
+    rng = rng_stream(seed, STREAM_DIRECTIONS)
+    budget = retry_budget if retry_budget is not None else 500 * count
+    accepted = []
+    stacked = np.empty((0, d))
+    for _ in range(budget):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        if stacked.shape[0] == 0 or np.max(np.abs(stacked @ u)) < max_overlap:
+            accepted.append(u)
+            stacked = np.vstack([stacked, u])
+            if len(accepted) == count:
+                return accepted
+    raise ValidationError(
+        f"could not place {count} directions with overlap < {max_overlap} in {d} "
+        "dimensions; increase d or max_overlap"
+    )
+
+
+@dataclass(frozen=True)
+class SeriesSum:
+    """sum_{k=1}^{terms} rho^k a_k^2, the certified bound on the terms after
+    it, and the value's error estimate (that bound plus rounding)."""
+
+    value: float
+    terms: int
+    tail_bound: float
+    error_estimate: float
+
+
+def chi_squared_series(dist, tol, cosine=1.0):
+    """chi_{N(0,I)}(P_v, P_v') at the given cosine as the Hermite series
+    sum_{k>=1} rho^k a_k^2, rho = cosine scale^2, summed to tol with
+    verify.pairwise_correlation's arithmetic in its order.  At cosine 1 it
+    is chi^2(D', N(0,1)), which verify integrates from the exact density."""
+    rho = cosine * dist.scale * dist.scale
+    bound = dist.hermite_bound()
+    constant = bound * bound / (1.0 - abs(rho))
+    terms = series_terms(constant, abs(rho), tol)
+    k = np.arange(1, terms + 1)
+    coeffs = dist.hermite_spectrum(terms)[1:]
+    weighted = rho**k * coeffs * coeffs
+    tail = constant * abs(rho) ** (terms + 1)
+    rounding = float(np.finfo(float).eps) * float(
+        np.sum(abs(rho) ** k * 2.0 * (k + 2) * bound * np.abs(coeffs))
+        + (terms + 1) * np.sum(np.abs(weighted))
+    )
+    return SeriesSum(float(np.sum(weighted)), terms, tail, tail + rounding)
 
 
 def reference_density(law, x):

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import sample_hidden
 from scipy import stats
 
 import momentforge
@@ -21,7 +22,6 @@ from momentforge import (
     PushforwardDist,
     QuadratureError,
     distance_to_support,
-    sample_hidden,
     sample_null,
 )
 from momentforge import distributions
@@ -584,6 +584,68 @@ class TestSampleStream:
         bad.write_text(json.dumps(payload))
         out = tmp_path / "samples.csv"
         assert main(["sample", str(bad), "--n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, edit, message",
+        [
+            (
+                "net",
+                lambda p: p.update(sigma="2.0", linear=["0.0", "2.0"]),
+                "sigma must lie in (0,1), got 2.0",
+            ),
+            ("net", lambda p: p["units"][0].update(w="1.5"), "got '1.5'"),
+            ("net", lambda p: p["units"][0].update(w="10"), "got '10'"),
+            ("net", lambda p: p["units"][0].pop("b"), "bad.json: malformed file (KeyError"),
+            (
+                "net",
+                lambda p: p["v"].__setitem__(0, "abc"),
+                "bad.json: malformed file (ValueError",
+            ),
+            (
+                "build",
+                lambda p: p["evolved"]["heights"].__setitem__(0, "abc"),
+                "bad.json: malformed file (ValueError",
+            ),
+            (
+                "build",
+                lambda p: p["evolved"].pop("eps"),
+                "bad.json: malformed file (KeyError",
+            ),
+            (
+                "build",
+                lambda p: p["trace"].pop("sigma_mins"),
+                "bad.json: malformed file (KeyError",
+            ),
+        ],
+        ids=[
+            "net-sigma",
+            "net-weight-string",
+            "net-weight-digits",
+            "net-unit-without-b",
+            "net-v-not-a-number",
+            "build-height-not-a-number",
+            "build-without-eps",
+            "build-without-sigma-mins",
+        ],
+    )
+    def test_malformed_file_exits_2(
+        self, nets, built_m5, tmp_path, capsys, source, edit, message
+    ):
+        # A field that is missing, of the wrong type or out of range is a
+        # validation error naming the problem, not a traceback or a sample.
+        payload = load_json(nets["e1"] if source == "net" else built_m5)
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "samples.csv"
+        if source == "net":
+            argv = ["sample", str(bad), "--n", "3", "--out", str(out)]
+        else:
+            argv = ["verify", str(bad)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "validation error" in err and message in err
         assert not out.exists()

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import reference_density
+from oracles import generate_directions, reference_density, sample_hidden
 from scipy import integrate, stats
 
 from momentforge import (
     HiddenDirectionDist,
     PushforwardDist,
     ValidationError,
-    generate_directions,
     hermite_rule,
     instance_eval,
     layout,
     reduce_rule,
-    sample_hidden,
     sample_null,
 )
 from momentforge.distributions import (

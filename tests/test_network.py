@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sample_hidden
 from scipy import stats
 
 from momentforge import (
@@ -20,7 +21,6 @@ from momentforge import (
     layout,
     lift,
     reduce_rule,
-    sample_hidden,
 )
 from momentforge.network import bump_units, householder_rotation
 

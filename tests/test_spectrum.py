@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
+from oracles import chi_squared_series
 
 from momentforge import (
     HiddenDirectionDist,
@@ -82,7 +83,7 @@ class TestSpectralSums:
         evolved, _ = evolve(initial, SlopeTarget(eps_target=1000.0 * eps0))
         dist = PushforwardDist.from_instance(evolved, 0.05)
         result = chi_squared_vs_gaussian(dist, tol_abs=tol)
-        series = verify_module.spectral_sum(dist, dist.scale**2, tol)
+        series = chi_squared_series(dist, tol)
         assert series.tail_bound <= tol
         assert abs(result.value - series.value) <= series.error_estimate
         assert 0.0 < result.error_estimate <= tol
@@ -109,17 +110,18 @@ class TestSpectralSums:
     def test_correlation_carries_its_error(self, dist5):
         value = pairwise_correlation(dist5, 0.1, tol_abs=2e-8)
         assert 0.0 <= value.error <= 2e-8
-        assert float(value) == pytest.approx(
-            verify_module.spectral_sum(dist5, 0.1 * dist5.scale**2, 2e-8).value, abs=0.0
-        )
+        series = chi_squared_series(dist5, 2e-8, cosine=0.1)
+        assert float(value) == series.value
+        assert value.error == series.error_estimate
 
     def test_guard_names_the_term_count(self, build5):
-        # At sigma = 1e-3, 1 - scale^2 = 1e-6 and the certified chi^2 sum
-        # needs about 3.6e7 terms, beyond the 1e6 ceiling.
+        # At sigma = 1e-3 and cosine 0.999999, 1 - rho is about 2e-6 and the
+        # certified correlation sum needs about 1.8e7 terms, beyond the 1e6
+        # ceiling.
         _, evolved, _ = build5
         narrow = PushforwardDist.from_instance(evolved, 1e-3)
         with pytest.raises(SeriesTruncationError) as info:
-            verify_module.spectral_sum(narrow, narrow.scale**2, 1e-8)
+            pairwise_correlation(narrow, 0.999999, 1e-8)
         assert info.value.terms > verify_module.SERIES_TERM_CEILING
         assert "K = " in str(info.value)
 

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import pow_clipped_power, pow_monomial_values, serial_distinguisher
+from oracles import (
+    pow_clipped_power,
+    pow_monomial_values,
+    sample_hidden,
+    serial_distinguisher,
+)
 
 from momentforge import (
     HiddenDirectionDist,
@@ -27,7 +32,7 @@ from momentforge import (
 )
 from momentforge import sq as sq_module
 from momentforge.cli import main
-from momentforge.distributions import STREAM_ORACLE, rng_stream, sample_hidden
+from momentforge.distributions import STREAM_ORACLE, rng_stream
 from momentforge.gaussian import gaussian_moment
 from momentforge.sq import (
     CLIP_BASE,

@@ -5,7 +5,13 @@ import threading
 
 import numpy as np
 import pytest
-from oracles import kernel_pair_tv, meshgrid_correlation, per_row_tv, sampled_exceedance
+from oracles import (
+    kernel_pair_tv,
+    meshgrid_correlation,
+    per_row_tv,
+    sample_hidden,
+    sampled_exceedance,
+)
 
 from momentforge import (
     NumericGuardError,
@@ -408,7 +414,7 @@ class TestDistanceToSupport:
         _, evolved, _ = build5
         import numpy as np
 
-        from momentforge import HiddenDirectionDist, sample_hidden
+        from momentforge import HiddenDirectionDist
 
         dist = PushforwardDist.from_instance(evolved, 0.01)
         cosine = 0.5
