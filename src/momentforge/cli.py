@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 numeric guard, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -44,6 +42,7 @@ from .network import (
 from .serialize import (
     SCHEMA,
     dump_json,
+    fields_of,
     fnum,
     fnum_list,
     instance_from_payload,
@@ -53,6 +52,7 @@ from .serialize import (
     parse_float_list,
     reduced_rule_from_payload,
     reduced_rule_payload,
+    replacing,
 )
 from .sq import NullTarget, PlantedTarget, SqOracle, run_distinguisher
 from .verify import VerifyConfig, verify_instance
@@ -90,10 +90,8 @@ def cmd_build(args) -> int:
     initial = layout(reduced, args.eps0, args.nu)
     if args.eps_target is None and args.slope_target is None:
         target = SlopeTarget(eps_target=1000.0 * args.eps0)
-    elif args.eps_target is not None:
-        target = SlopeTarget(eps_target=args.eps_target)
     else:
-        target = SlopeTarget(slope_target=args.slope_target)
+        target = SlopeTarget(eps_target=args.eps_target, slope_target=args.slope_target)
     evolved, trace = evolve(initial, target)
     payload = {
         "schema": SCHEMA,
@@ -129,35 +127,29 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _fields_of(path: str):
-    """Report a missing or mistyped field of the file at path as a
-    ValidationError that names the file."""
-    try:
-        yield
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"{path}: malformed file ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _load_build(path: str):
-    data = load_json(path)
+def _read_build(data: dict, path: str):
+    """The initial and evolved instances of a build file loaded from path,
+    and the two trace records the verify report reads; damage to any of
+    them is a ValidationError that names the file."""
     if data.get("kind") != "instance":
         raise ValidationError(f"{path} is not an instance file")
-    with _fields_of(path):
+    with fields_of(path):
         initial = instance_from_payload(data["initial"])
         evolved = instance_from_payload(data["evolved"])
         reduced = reduced_rule_from_payload(data["reduced_rule"])
+        sigma_mins = parse_float_list(data["trace"]["sigma_mins"])
+        rows = [np.array(parse_float_list(r)) for r in data["trace"]["moment_residuals"]]
     for inst in (initial, evolved):
         for i, (b, lam) in enumerate(zip(inst.bumps, reduced.weights)):
-            if abs(b.plateau_mass - lam) > 1e-10:
+            if not abs(b.plateau_mass - lam) <= 1e-10:
                 raise ValidationError(
                     f"{path}: plateau mass of bump {i} drifted from its rule weight"
                 )
-    return data, initial, evolved, reduced
+    if len(rows) != len(sigma_mins) or any(r.size != (evolved.m - 1) // 2 for r in rows):
+        raise ValidationError(f"{path}: trace rows do not match sigma_mins and m")
+    if not np.all(np.isfinite(np.concatenate([sigma_mins, *rows]))):
+        raise ValidationError(f"{path}: the trace holds a value that is not finite")
+    return initial, evolved, EvolutionTrace(sigma_mins=sigma_mins, moment_residuals=rows)
 
 
 def _report_to_jsonable(obj):
@@ -172,22 +164,11 @@ def _report_to_jsonable(obj):
         return [_report_to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _report_to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return fnum_list(obj)
     return obj
 
 
 def cmd_verify(args) -> int:
-    data, initial, evolved, _ = _load_build(args.instance)
-    # The report reads only these two records of the trace.
-    with _fields_of(args.instance):
-        trace = EvolutionTrace(
-            sigma_mins=parse_float_list(data["trace"]["sigma_mins"]),
-            moment_residuals=[
-                np.array(parse_float_list(r))
-                for r in data["trace"]["moment_residuals"]
-            ],
-        )
+    initial, evolved, trace = _read_build(load_json(args.instance), args.instance)
     cosines = tuple(args.cosine) if args.cosine else VerifyConfig.correlation_cosines
     config = VerifyConfig(nu=args.nu, sigma=args.sigma, correlation_cosines=cosines)
     report = verify_instance(initial, evolved, config, trace=trace)
@@ -232,7 +213,7 @@ def cmd_verify(args) -> int:
     if args.out:
         payload = {"schema": SCHEMA, "kind": "report", "report": _report_to_jsonable(report)}
         dump_json(payload, args.out)
-    if report.errors or not report.all_passed():
+    if not report.all_passed():
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -298,7 +279,7 @@ def _hidden_direction(d: int, direction: str, seed: int) -> np.ndarray:
 
 
 def cmd_export(args) -> int:
-    _, _, evolved, _ = _load_build(args.instance)
+    _, evolved, _ = _read_build(load_json(args.instance), args.instance)
     net1d = compile_instance(evolved)
     v = _hidden_direction(args.d, args.direction, args.seed)
     lifted = lift(net1d, args.sigma, args.d, v)
@@ -313,33 +294,9 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """A binary handle whose bytes replace the file at path only once the
-    block completes; on failure path is left as it was.  A device or pipe
-    has nothing to keep and is written directly; a symlink is followed."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.part")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_samples(blocks, path: str, fmt: str) -> None:
-    """Write sample blocks one after another to path, in the given format."""
-    if fmt not in ("csv", "f64"):
-        raise ValidationError(f"unknown sample format {fmt!r}")
-    with _replacing(path) as fh:
+    """Write sample blocks one after another to path, as csv or f64."""
+    with replacing(path) as fh:
         for block in blocks:
             if fmt == "csv":
                 np.savetxt(fh, block, delimiter=",", fmt="%.17g")
@@ -367,7 +324,7 @@ def cmd_sample(args) -> int:
         blocks = null_blocks(args.d, args.n, args.seed)
     elif kind == "lifted":
         _reject_law_flags(args, "to a network file: the network fixes sigma and v")
-        with _fields_of(args.file):
+        with fields_of(args.file):
             net = network_from_payload(data)
         if args.d is not None and args.d != net.d:
             raise ValidationError(
@@ -375,7 +332,7 @@ def cmd_sample(args) -> int:
             )
         blocks = map(net.eval, latent_blocks(net.d + 1, args.n, args.seed))
     elif kind == "instance":
-        _, _, evolved, _ = _load_build(args.file)
+        _, evolved, _ = _read_build(data, args.file)
         if args.d is None:
             raise ValidationError("planted sampling from an instance needs --d")
         sigma = 0.05 if args.sigma is None else args.sigma
@@ -392,7 +349,7 @@ def cmd_sample(args) -> int:
 
 def cmd_distinguish(args) -> int:
     _check_dimension(args.d)
-    _, _, evolved, _ = _load_build(args.instance)
+    _, evolved, _ = _read_build(load_json(args.instance), args.instance)
     marginal = PushforwardDist.from_instance(evolved, args.sigma)
 
     def factory(kind: str, trial: int):

@@ -111,7 +111,7 @@ def householder_rotation(v: np.ndarray) -> np.ndarray:
     """Orthogonal map sending e_1 to the unit vector v (identity if v = e_1)."""
     v = np.asarray(v, dtype=float)
     d = v.size
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
         raise ValidationError("direction must be a unit vector")
     e1 = np.zeros(d)
     e1[0] = 1.0

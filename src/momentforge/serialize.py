@@ -7,14 +7,15 @@ Files carry a schema tag and are revalidated on load.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .bumps import Bump, BumpInstance
-from .errors import ValidationError
+from .errors import SupportCollisionError, ValidationError
 from .gaussian import ReducedRule
 
 SCHEMA = "moment-forge/1"
@@ -25,6 +26,8 @@ __all__ = [
     "fnum_list",
     "parse_float",
     "parse_float_list",
+    "replacing",
+    "fields_of",
     "dump_json",
     "load_json",
     "instance_payload",
@@ -36,10 +39,7 @@ __all__ = [
 
 def fnum(x) -> str:
     """Encode one real as its shortest round-trip decimal string."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return repr(float(x))
 
 
 def fnum_list(xs) -> list[str]:
@@ -57,13 +57,52 @@ def parse_float_list(xs) -> list[float]:
     return [float(x) for x in xs]
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path):
+    """A binary handle whose bytes replace the file at path only once the
+    block completes; on failure path is left as it was.  A device or pipe
+    has nothing to keep and is written directly; a symlink is followed."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.part")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def fields_of(path: str | Path):
+    """Report a file at path that is not JSON, or whose fields are missing,
+    mistyped, out of range or describe overlapping supports, as a
+    ValidationError that names the file."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, SupportCollisionError) as exc:
+        raise ValidationError(
+            f"{path}: malformed file ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def dump_json(obj: dict, path: str | Path) -> None:
     text = json.dumps(obj, indent=1, sort_keys=False)
-    Path(path).write_text(text + "\n")
+    with replacing(path) as fh:
+        fh.write(text.encode() + b"\n")
 
 
 def load_json(path: str | Path) -> dict:
-    data = json.loads(Path(path).read_text())
+    with fields_of(path):
+        data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     if data.get("schema") != SCHEMA:

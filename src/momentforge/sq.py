@@ -257,21 +257,17 @@ def _planted_monomial_moment(target: PlantedTarget, query: MonomialQuery) -> flo
     v = target.hidden.v[list(query.indices)]
     cov = np.eye(len(query.indices)) - np.outer(v, v)
     marginal = target.hidden.marginal
-    ranges = [range(p + 1) for p in query.powers]
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(
-        -1, len(ranges)
-    )
     total = 0.0
-    for js in grid:
+    for js in itertools.product(*(range(p + 1) for p in query.powers)):
         coef = 1.0
         for a, j, vi in zip(query.powers, js, v):
-            coef *= math.comb(a, int(j)) * vi ** int(j)
+            coef *= math.comb(a, j) * vi**j
         if coef == 0.0:
             continue
-        s_mom = marginal.moment(int(js.sum()))
+        s_mom = marginal.moment(sum(js))
         if s_mom == 0.0:
             continue
-        residual = tuple(int(a - j) for a, j in zip(query.powers, js))
+        residual = tuple(a - j for a, j in zip(query.powers, js))
         total += coef * s_mom * _gaussian_vector_moment(cov, residual)
     return total
 

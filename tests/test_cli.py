@@ -98,6 +98,13 @@ class TestBuild:
         assert inst.max_slope() <= 1e4
         assert data["flags"]["target_reached"]
 
+    def test_two_targets_rejected(self, tmp_path, capsys):
+        out = tmp_path / "both.json"
+        argv = ["build", "--m", "5", "--eps-target", "1e-3", "--slope-target", "10"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "exactly one of eps_target, slope_target" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_collision_exit_code(self, tmp_path):
         out = tmp_path / "bad.json"
         code = main(["build", "--m", "5", "--eps0", "0.2", "--out", str(out)])
