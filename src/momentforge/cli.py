@@ -73,7 +73,7 @@ def _trace_payload(trace: EvolutionTrace) -> dict:
         "step_sizes": fnum_list(trace.step_sizes),
         "direction_norms": fnum_list(trace.direction_norms),
         "newton_iterations": list(trace.newton_iterations),
-        "step_cuts": dict(trace.step_cuts),
+        "step_cuts": trace.step_cuts,
         "target_reached": trace.target_reached,
         "stop_reason": trace.stop_reason,
         "projection": {
@@ -118,7 +118,7 @@ def cmd_build(args) -> int:
         },
     }
     dump_json(payload, args.out)
-    status = "reached" if trace.target_reached else "partial"
+    status = "reached" if trace.target_reached else f"partial ({trace.stop_reason})"
     print(
         f"build m={args.m}: eps {initial.eps:g} -> {evolved.eps:g}, "
         f"max slope {evolved.max_slope():.6g}, target {status}, "
@@ -341,7 +341,7 @@ def cmd_sample(args) -> int:
         hd = HiddenDirectionDist(d=args.d, v=v, marginal=dist)
         blocks = hidden_blocks(hd, args.n, args.seed)
     else:
-        raise ValidationError(f"cannot sample from a {kind!r} file")
+        raise ValidationError(f"{args.file}: cannot sample from a {kind!r} file")
     _write_samples(blocks, args.out, args.format)
     print(f"wrote {args.n} samples to {args.out} ({args.format})")
     return EXIT_OK

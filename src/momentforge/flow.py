@@ -11,17 +11,18 @@ maximum slope max|h_i| / ramp shrinks.
 evolve follows that branch by predictor-corrector continuation: a tangent
 step along the current direction to the next ramp width, then Newton on the
 tracked moments (the column sums of Z) with Jacobian (k / h) Z'.  The step
-in eps doubles after an accepted step and halves when the corrector fails,
-a guard fires or sigma_min falls below half its previous value.  Each flow
-state is assembled once; its system gives the residual, sigma_min and the
-next direction.  The same corrector, run to 1e-13 relative, is the optional
-final polish reported separately in the trace.
+in eps doubles after an accepted step and halves when the corrector fails
+to converge or leaves a direction that is not finite.  Each flow state is
+assembled once; its system gives the residual, sigma_min and the next
+direction.  The same corrector, run to 1e-13 relative, is the optional final
+polish reported separately in the trace.
 
-Guards: the solve aborts (ConditioningBreakdown) when the smallest singular
-value of Z falls under a floor proportional to its norm; the horizon is
-capped so bump supports keep a positive separation margin; runs stop if any
-height approaches zero, the direction magnitude explodes or step cuts fall
-below a floor (near a fold), never stepping past the last solved state.
+Guards: the initial direction solve aborts (ConditioningBreakdown) when the
+smallest singular value of Z falls under a floor proportional to its norm;
+the horizon is capped so bump supports keep a positive separation margin;
+runs stop if any height approaches zero, or at a fold, where the step halves
+below a floor.  A fold names the two bumps whose scaled Jacobian columns are
+nearest parallel, and the run never steps past the last solved state.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ _NEWTON_MAX = 8  # Newton steps per corrector call
 _STEP_FLOOR = 1e-12  # end the run once a cut step is below this share of eps
 _SIGMA_FLOOR_FACTOR = 1e-12  # abort when sigma_min(Z) < this * sigma_max(Z)
 _COLLISION_FRACTION = 0.1  # supports keep this share of their initial gap
-_DIRECTION_CEILING = 1e8  # abort once max |v| exceeds this
 _MAX_STEPS = 100_000
 
 
@@ -162,10 +162,7 @@ class EvolutionTrace:
     step_sizes: list[float] = field(default_factory=list)
     direction_norms: list[float] = field(default_factory=list)
     newton_iterations: list[int] = field(default_factory=list)
-    # Rejected continuation steps, by the cause that halved the step.
-    step_cuts: dict[str, int] = field(
-        default_factory=lambda: {"corrector": 0, "guard": 0, "sigma-drop": 0}
-    )
+    step_cuts: int = 0  # rejected continuation steps
     target_reached: bool = False
     stop_reason: str = ""
     projection_applied: bool = False
@@ -188,6 +185,11 @@ class EvolutionTrace:
         return float(max(np.max(r) for r in self.moment_residuals))
 
 
+def _jacobian(system: FlowSystem) -> np.ndarray:
+    """d mu_l / d h_i = (2l / h_i) Z[i, l]."""
+    return (system.moment_orders[:, None] * system.Z.T) * system.inv_heights[None, :]
+
+
 def _correct(
     state: BumpInstance, system: FlowSystem, mu0: np.ndarray, tol: float
 ) -> tuple[BumpInstance, FlowSystem, float, int]:
@@ -199,9 +201,7 @@ def _correct(
     for kept in range(_NEWTON_MAX):
         if norm <= tol:
             return state, system, norm, kept
-        # d mu_l / d h_i = (2l / h_i) Z[i, l]
-        jac = (system.moment_orders[:, None] * system.Z.T) * system.inv_heights[None, :]
-        heights = state.left_heights() - np.linalg.solve(jac, resid)
+        heights = state.left_heights() - np.linalg.solve(_jacobian(system), resid)
         trial = state.with_state(heights, state.eps)
         trial_system = build_system(trial)
         trial_resid = trial_system.Z.sum(axis=0) - mu0
@@ -219,10 +219,9 @@ def evolve(
 
     Stops at the earliest of: target reached, support-collision budget
     exhausted (the horizon is capped so supports keep a tenth of their
-    initial gap), or a guard: step cuts below the floor, a vanishing height
-    or an exploding direction.  Guards before any progress raise; after
-    progress the last valid state is returned with target_reached False and
-    the reason recorded.
+    initial gap), a vanishing height, or a fold: the corrector fails at every
+    step above the floor.  Short of the target, the last solved state is
+    returned with target_reached False and the reason recorded.
     """
     if inst.eps <= 0.0:
         raise ValidationError("evolution requires a positive initial ramp width")
@@ -273,34 +272,32 @@ def evolve(
             break
         step = min(step, t_stop - t)
         t_new = t + step
-        cause = ""
-        try:
-            predicted = state.with_state(state.left_heights() + step * w, eps0 + t_new)
-            new_state, new_system, norm, iterations = _correct(
-                predicted, build_system(predicted), mu0, _STEP_TOL * residual_scale
-            )
-            if norm > _STEP_TOL * residual_scale:
-                cause = "corrector"
-            elif new_system.sigma_min < 0.5 * system.sigma_min:
-                cause = "sigma-drop"
-            else:
-                w_new = _solve_direction(new_system, t_new, _SIGMA_FLOOR_FACTOR)
-        except (ConditioningBreakdown, SupportCollisionError) as exc:
-            cause, guard = "guard", exc
-        if cause:
-            trace.step_cuts[cause] += 1
+        predicted = state.with_state(state.left_heights() + step * w, eps0 + t_new)
+        new_state, new_system, norm, iterations = _correct(
+            predicted, build_system(predicted), mu0, _STEP_TOL * residual_scale
+        )
+        # No conditioning floor here: the corrector alone judges the step, and
+        # a direction that is not finite, which would poison the next
+        # predictor, counts as a failed one.
+        converged = norm <= _STEP_TOL * residual_scale
+        if converged:
+            w_new = _solve_direction(new_system, t_new, 0.0)
+            converged = bool(np.all(np.isfinite(w_new)))
+        if not converged:
+            trace.step_cuts += 1
             step /= 2.0
             if step >= _STEP_FLOOR * state.eps:
                 continue
-            if cause == "guard" and len(trace.times) <= 1:
-                raise guard
-            trace.stop_reason = f"guard:step-underflow({cause})"
+            # The fold's bumps, 1-based from the outermost left one, carry the
+            # largest entries of the smallest right singular vector of the
+            # Jacobian with unit-norm columns at the last solved state.
+            jac = _jacobian(system)
+            null = np.linalg.svd(jac / np.linalg.norm(jac, axis=0))[2][-1]
+            i, j = sorted(np.argsort(np.abs(null))[-2:] + 1)
+            trace.stop_reason = f"fold: bumps {i} and {j}"
             break
         if float(np.min(np.abs(new_state.left_heights()))) < _HEIGHT_FLOOR:
             trace.stop_reason = "guard:height-vanishing"
-            break
-        if float(np.max(np.abs(w_new))) > _DIRECTION_CEILING:
-            trace.stop_reason = "guard:direction-ceiling"
             break
 
         t, state, system, w = t_new, new_state, new_system, w_new

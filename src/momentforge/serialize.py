@@ -86,8 +86,8 @@ def fields_of(path: str | Path):
     ValidationError that names the file."""
     try:
         yield
-    except ValidationError:
-        raise
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, SupportCollisionError) as exc:
         raise ValidationError(
             f"{path}: malformed file ({type(exc).__name__}: {exc})"

@@ -11,6 +11,7 @@ from momentforge import (
     SlopeTarget,
     ValidationError,
     VerifyConfig,
+    build_system,
     chi_squared_vs_gaussian,
     compile_instance,
     evolve,
@@ -112,19 +113,38 @@ def test_verify_defaults_pass_valid_builds():
 
 @pytest.fixture(scope="module")
 def sweep_builds():
-    """(m, build) -> evolved instance for the rows of the sweep above."""
+    """(m, build) -> (evolved instance, trace) for the rows of the sweep
+    above."""
     builds = {}
     for m, eps0 in NAMED_EPS0.items():
         initial = layout(reduce_rule(hermite_rule(m)), eps0, NU)
         for label, target in (("default", 1000.0 * eps0), ("end", 1.0)):
-            builds[m, label] = evolve(initial, SlopeTarget(eps_target=target))[0]
+            builds[m, label] = evolve(initial, SlopeTarget(eps_target=target))
     return builds
+
+
+def test_end_of_branch_stops(sweep_builds):
+    # Up to m=7 the supports collide first.  From m=9 on the branch ends at
+    # one fold, where the second and third left bumps merge: the Jacobian
+    # (k / h_i) Z' with unit-norm columns is near singular at the last
+    # solved state (its condition is at most 94 at the collision stops).
+    for m in NAMED_EPS0:
+        evolved, trace = sweep_builds[m, "end"]
+        assert not trace.target_reached, m
+        if m <= 7:
+            assert trace.stop_reason == "collision-guard", m
+            continue
+        assert trace.stop_reason == "fold: bumps 2 and 3", m
+        last = evolved.with_state(trace.heights[-1], trace.eps_values[-1])
+        system = build_system(last)
+        jac = system.moment_orders[:, None] * system.Z.T * system.inv_heights
+        assert np.linalg.cond(jac / np.linalg.norm(jac, axis=0)) > 1e8, m
 
 
 def test_marginal_features_are_distinct(sweep_builds):
     # Each feature is bracketed at multiples of sigma, so a second copy of a
     # point, off by rounding, adds only slivers of panels.
-    for row, evolved in sweep_builds.items():
+    for row, (evolved, _) in sweep_builds.items():
         dist = PushforwardDist.from_instance(evolved, VerifyConfig.sigma)
         assert np.all(np.diff(dist.law.feature_points()) > 1e-9), row
 
@@ -135,7 +155,7 @@ def test_atom_breaks_agree_with_ramp_end_breaks(sweep_builds, monkeypatch, row):
     # sum's rounding of an atom value (the slope scales it up to 1e-4 at
     # eps 1e-11), and chi^2 and TV on breaks that also bracket the ends
     # agree within their errors.
-    dist = PushforwardDist.from_instance(sweep_builds[row], VerifyConfig.sigma)
+    dist = PushforwardDist.from_instance(sweep_builds[row][0], VerifyConfig.sigma)
     law = dist.law
     g, slope, intercept = law.ramps[:, :2], law.ramps[:, 2:3], law.ramps[:, 3:]
     ends = law.coef * (slope * g + intercept)
