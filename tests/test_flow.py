@@ -227,16 +227,31 @@ class TestEvolve:
         assert trace.target_reached
         assert 0.99e4 <= evolved.max_slope() <= 1e4
 
-    def test_fold_stops_naming_its_bumps(self):
+    @pytest.mark.parametrize(
+        "ceiling, old_reason",
+        [(1e8, "guard:direction-ceiling"), (math.inf, "guard:step-underflow(")],
+    )
+    def test_fold_stops_with_a_typed_guard(self, ceiling, old_reason, monkeypatch):
         # At m=13 the second and third left heights merge near eps =
         # 6.2907e-4, short of the target.  The corrector fails there at every
         # step above the floor, so the run stops before that fold and names
-        # the bumps.  The polish keeps the better state, so it never raises
-        # the residual.
+        # the bumps, where it once read old_reason.  A direction past the
+        # ceiling is made non-finite, which counts as a failed corrector step,
+        # so the stop is the same fold with or without a ceiling.  The polish
+        # keeps the better state, so it never raises the residual.
+        solve = flow._solve_direction
+
+        def capped(system, t, floor):
+            w = solve(system, t, floor)
+            return w if np.max(np.abs(w)) <= ceiling else np.full_like(w, np.inf)
+
+        monkeypatch.setattr(flow, "_solve_direction", capped)
         inst = layout(reduce_rule(hermite_rule(13)), 1e-12, 1e-4)
         evolved, trace = evolve(inst, SlopeTarget(eps_target=1e-3))
         assert not trace.target_reached
         assert trace.stop_reason == "fold: bumps 2 and 3"
+        assert not trace.stop_reason.startswith(old_reason)
+        assert max(trace.direction_norms) <= ceiling
         assert evolved.eps < 6.291e-4
         assert trace.residual_after_projection <= trace.residual_before_projection
 
