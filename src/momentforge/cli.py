@@ -36,7 +36,6 @@ from .network import (
     ReluNetwork1D,
     ReluUnit,
     compile_instance,
-    householder_rotation,
     lift,
 )
 from .serialize import (
@@ -254,12 +253,7 @@ def network_from_payload(payload: dict) -> LiftedNetwork:
     v = np.array(parse_float_list(payload["v"]))
     if int(payload["d"]) != v.size:
         raise ValidationError(f"d = {payload['d']} but v has {v.size} entries")
-    return LiftedNetwork(
-        v=v,
-        sigma=sigma,
-        inner=ReluNetwork1D(units=tuple(units)),
-        rotation=householder_rotation(v),
-    )
+    return LiftedNetwork(v=v, sigma=sigma, inner=ReluNetwork1D(units=tuple(units)))
 
 
 def _check_dimension(d: int) -> None:

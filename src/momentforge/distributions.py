@@ -375,12 +375,11 @@ def _gaussian_blocks(
     of `rows` rows, the last block taking the remainder.
 
     A Philox stream is consumed in row order, so the blocks stack to the
-    one-shot draw whatever `rows` is.  The default rows also keep products
-    of the blocks bit-identical to products of the one-shot draw under
-    single-threaded BLAS, which rounds the rows past the last multiple of
-    its row unroll, and calls under a size threshold, by other kernels: a
-    default block holds a power of two rows (at most SAMPLE_BLOCK values,
-    at least one row), and the last block is never the shorter one.
+    one-shot draw whatever `rows` is, and every map applied to the blocks
+    rounds each row on its own.  A default block holds the largest power
+    of two rows that fits in SAMPLE_BLOCK values (at least one row), so at
+    most SAMPLE_BLOCK // width rows, and the last block is never the
+    shorter one.
     """
     if width < 1 or n < 1:
         raise ValidationError("dimension and sample count must be >= 1")

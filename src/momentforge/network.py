@@ -5,9 +5,10 @@ Each bump becomes four signed ReLU units with breakpoints at its support and
 plateau edges; the slope magnitude |height| / ramp is folded into the unit
 weights so every unit reads sign * relu(a z + b) with a > 0.  The lift
 scales those units by sqrt(1 - sigma^2), so f*(z1, z2) = inner(z1) + sigma z2
-is the smoothed map, and applies a Householder reflection taking e_1 to the
-hidden direction, so every output coordinate is
-alpha * f*(z1, z2) + <u, (z3, ..., z_{d+1})>.
+is the smoothed map, and applies the Householder reflection taking e_1 to the
+hidden direction v, so every output coordinate is
+alpha * f*(z1, z2) + <w, (z3, ..., z_{d+1})>.  The reflection is applied as a
+rank-1 update, O(d) per row, and never stored as a d x d matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "LiftedNetwork",
     "compile_instance",
     "lift",
-    "householder_rotation",
 ]
 
 
@@ -107,38 +107,26 @@ def compile_instance(inst: BumpInstance) -> ReluNetwork1D:
     return ReluNetwork1D(units=tuple(units))
 
 
-def householder_rotation(v: np.ndarray) -> np.ndarray:
-    """Orthogonal map sending e_1 to the unit vector v (identity if v = e_1)."""
-    v = np.asarray(v, dtype=float)
-    d = v.size
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
-        raise ValidationError("direction must be a unit vector")
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    u = e1 - v
-    nrm2 = float(u @ u)
-    if nrm2 < 1e-24:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(u, u) / nrm2
-
-
 @dataclass(frozen=True)
 class LiftedNetwork:
     """Generator R^{d+1} -> R^d realizing the hidden-direction pushforward.
 
     inner holds the compiled units scaled by sqrt(1 - sigma^2), so
-    f*(z1, z2) = inner(z1) + sigma z2, and output j is
-    rotation[j, 0] * f*(z1, z2) + <rotation[j, 1:], (z3, ..., z_{d+1})>.
+    f*(z1, z2) = inner(z1) + sigma z2, and the output is H x for
+    x = (f*(z1, z2), z3, ..., z_{d+1}) and H = I - 2 u u' / |u|^2 with
+    u = e_1 - v, the reflection sending e_1 to v.
     """
 
     v: np.ndarray
     sigma: float
     inner: ReluNetwork1D
-    rotation: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValidationError(f"sigma must lie in (0,1), got {self.sigma}")
+        # Spelled so that a NaN norm is refused too.
+        if not abs(np.linalg.norm(self.v) - 1.0) <= 1e-12:
+            raise ValidationError("direction must be a unit vector")
 
     @property
     def d(self) -> int:
@@ -158,8 +146,14 @@ class LiftedNetwork:
                 f"expected {self.d + 1} input coordinates, got {batch.shape[1]}"
             )
         fstar = self.inner.eval(batch[:, 0]) + self.sigma * batch[:, 1]
-        stacked = np.concatenate([fstar[:, None], batch[:, 2:]], axis=1)
-        out = stacked @ self.rotation.T
+        out = np.concatenate([fstar[:, None], batch[:, 2:]], axis=1)
+        u = -self.v
+        u[0] += 1.0
+        nrm2 = float(np.einsum("i,i->", u, u))
+        # H x = x - (2 / |u|^2) (x.u) u; the identity when v = e_1.  x.u is
+        # an einsum, not a BLAS product, as in HiddenDirectionDist.embed.
+        if nrm2 >= 1e-24:
+            out -= np.outer(np.einsum("ij,j->i", out, u) * (2.0 / nrm2), u)
         return out[0] if z.ndim == 1 else out
 
 
@@ -171,7 +165,6 @@ def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwo
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise ValidationError(f"direction must have dimension {d}")
-    rotation = householder_rotation(v)
     # LiftedNetwork refuses a sigma outside (0, 1); the clamp only keeps the
     # root defined until it does.
     scale = math.sqrt(max(0.0, 1.0 - sigma * sigma))
@@ -181,4 +174,4 @@ def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwo
             for u in net.units
         )
     )
-    return LiftedNetwork(v=v, sigma=sigma, inner=inner, rotation=rotation)
+    return LiftedNetwork(v=v, sigma=sigma, inner=inner)

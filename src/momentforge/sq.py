@@ -488,20 +488,12 @@ def _moment_scan_queries(
     """All monomials of total degree in [1, degree] over one random subset."""
     subset = tuple(sorted(rng.choice(d, size=subset_size, replace=False).tolist()))
     queries: list[MonomialQuery] = []
-
-    def rec(pos: int, current: list[int]):
-        if pos == len(subset):
-            total = sum(current)
-            if 1 <= total <= degree:
-                idx = tuple(s for s, c in zip(subset, current) if c > 0)
-                pw = tuple(c for c in current if c > 0)
-                label = "monomial:" + ",".join(f"x{i}^{p}" for i, p in zip(idx, pw))
-                queries.append(MonomialQuery(indices=idx, powers=pw, label=label))
-            return
-        for c in range(degree - sum(current) + 1):
-            rec(pos + 1, current + [c])
-
-    rec(0, [])
+    for current in itertools.product(range(degree + 1), repeat=subset_size):
+        if 1 <= sum(current) <= degree:
+            idx = tuple(s for s, c in zip(subset, current) if c > 0)
+            pw = tuple(c for c in current if c > 0)
+            label = "monomial:" + ",".join(f"x{i}^{p}" for i, p in zip(idx, pw))
+            queries.append(MonomialQuery(indices=idx, powers=pw, label=label))
     return queries
 
 

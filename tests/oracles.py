@@ -9,8 +9,10 @@ the projected law, a factor recomputed per row where the
 library keeps it per sweep, two Gaussian kernels where the library uses
 one likelihood ratio, each ramp's end values listed as features beside the
 atom values where the library takes the atoms alone, the hidden-direction
-sample drawn whole where the library streams it in blocks, and chi-squared
-summed as a Hermite series where the library integrates the exact density.
+sample drawn whole where the library streams it in blocks, chi-squared
+summed as a Hermite series where the library integrates the exact density,
+and the d x d Householder matrix where the lifted network applies the
+reflection as a rank-1 update.
 generate_directions packs random unit vectors with bounded overlaps by
 rejection; the library needs no packing.
 
@@ -68,6 +70,21 @@ def sample_hidden(hd, n, seed):
     """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d):
     the stream of distributions.hidden_blocks drawn as one block."""
     return next(hidden_blocks(hd, n, seed, rows=n))
+
+
+def householder_rotation(v: np.ndarray) -> np.ndarray:
+    """Orthogonal map sending e_1 to the unit vector v (identity if v = e_1)."""
+    v = np.asarray(v, dtype=float)
+    d = v.size
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+        raise ValidationError("direction must be a unit vector")
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    u = e1 - v
+    nrm2 = float(u @ u)
+    if nrm2 < 1e-24:
+        return np.eye(d)
+    return np.eye(d) - 2.0 * np.outer(u, u) / nrm2
 
 
 def generate_directions(d, count, max_overlap, seed, retry_budget=None):

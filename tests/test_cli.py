@@ -399,29 +399,6 @@ def one_shot(kind, direction, n, d, seed, net, built, sigma=0.05):
     return sample_hidden(HiddenDirectionDist(d=d, v=v, marginal=marginal), n, seed)
 
 
-def check_default_blocks_at_d50(built: str, workdir: str) -> None:
-    """Two default blocks of 2**14 rows, the second taking one more row, at
-    the benchmark's d = 50: the file is the one-shot draw byte for byte."""
-    d, n, seed = 50, 2 * 2**14 + 1, 5
-    out = os.path.join(workdir, "samples.f64")
-    cases = [("lifted", "e1"), ("lifted", "random"), ("planted", "random"), ("null", "e1")]
-    for kind, direction in cases:
-        args = ["--d", str(d), "--direction", direction, "--seed", str(seed)]
-        net = os.path.join(workdir, f"net-{direction}.json")
-        if kind == "lifted":
-            assert main(["export", built, *args, "--out", net]) == 0
-            argv = ["sample", net]
-        elif kind == "null":
-            argv = ["sample", built, "--kind", kind, *args[:2]]
-        else:
-            argv = ["sample", built, "--kind", kind, *args[:4]]
-        argv += ["--n", str(n), "--seed", str(seed), "--format", "f64", "--out", out]
-        assert main(argv) == 0
-        want = one_shot(kind, direction, n, d, seed, net, built)
-        with open(out, "rb") as fh:
-            assert fh.read() == want.astype("<f8").tobytes(), (kind, direction)
-
-
 class TestSampleStream:
     """`sample` writes block by block; the file is the one-shot draw byte for
     byte, and a failed run leaves --out as it was."""
@@ -489,50 +466,58 @@ class TestSampleStream:
         assert out.read_bytes() == self.reference_bytes(want, fmt, tmp_path)
 
     def test_default_blocks_at_d50(self, built_m5, tmp_path):
-        # Under more than one BLAS thread a product splits its rows between
-        # threads at points set by its size, so a one-shot product and the
-        # same rows in blocks can round apart in the last bit (the one-shot
-        # output itself then varies with the thread count).  The comparison
-        # runs under single-threaded BLAS, as the benchmark does.
-        env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
-        paths = [
-            os.path.dirname(__file__),
-            os.path.dirname(os.path.dirname(momentforge.__file__)),
-            env.get("PYTHONPATH", ""),
-        ]
-        env["PYTHONPATH"] = os.pathsep.join(paths)
-        call = f"check_default_blocks_at_d50({str(built_m5)!r}, {str(tmp_path)!r})"
-        done = subprocess.run(
-            [sys.executable, "-c", f"import test_cli; test_cli.{call}"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert done.returncode == 0, done.stderr
+        # Two default blocks of 2**14 rows, the second taking one more row,
+        # at the benchmark's d = 50: the file is the one-shot draw byte for
+        # byte.  Every map rounds each row on its own, so this holds under
+        # any number of BLAS threads.
+        d, n, seed = 50, 2 * 2**14 + 1, 5
+        out = tmp_path / "samples.f64"
+        cases = [("lifted", "e1"), ("lifted", "random"), ("planted", "random"), ("null", "e1")]
+        for kind, direction in cases:
+            args = ["--d", str(d), "--direction", direction, "--seed", str(seed)]
+            net = tmp_path / f"net-{direction}.json"
+            if kind == "lifted":
+                assert main(["export", str(built_m5), *args, "--out", str(net)]) == 0
+                argv = ["sample", str(net)]
+            elif kind == "null":
+                argv = ["sample", str(built_m5), "--kind", kind, *args[:2]]
+            else:
+                argv = ["sample", str(built_m5), "--kind", kind, *args[:4]]
+            argv += ["--n", str(n), "--seed", str(seed), "--format", "f64"]
+            assert main([*argv, "--out", str(out)]) == 0
+            want = one_shot(kind, direction, n, d, seed, net, built_m5)
+            assert out.read_bytes() == want.astype("<f8").tobytes(), (kind, direction)
 
     def test_random_direction_bytes_ignore_blas_threads(self, built_m5, tmp_path):
-        # g.v does not go through BLAS, so the planted file is the same under
-        # one and two BLAS threads; d and n span more than one default block.
-        argv = ["sample", str(built_m5), "--kind", "planted", "--d", "50",
-                "--n", "16385", "--seed", "7", "--direction", "random",
-                "--format", "f64"]
+        # Neither g.v nor the lifted network's x.u goes through BLAS, so the
+        # planted and lifted files are the same under one and two BLAS
+        # threads; d and n span more than one default block.
+        net = tmp_path / "net.json"
+        law = ["--d", "50", "--direction", "random"]
+        assert main(["export", str(built_m5), *law, "--seed", "7", "--out", str(net)]) == 0
+        sample = ["--n", "16385", "--seed", "7", "--format", "f64"]
+        inputs = {
+            "planted": ["sample", str(built_m5), "--kind", "planted", *law, *sample],
+            "lifted": ["sample", str(net), *sample],
+        }
         paths = [os.path.dirname(os.path.dirname(momentforge.__file__))]
         python_path = os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])
-        files = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=python_path)
-            env.update({var: threads for var in BLAS_THREAD_VARS})
-            out = tmp_path / f"threads{threads}.f64"
-            done = subprocess.run(
-                [sys.executable, "-m", "momentforge", *argv, "--out", str(out)],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert done.returncode == 0, done.stderr
-            files.append(out.read_bytes())
-        assert len(files[0]) == 16385 * 50 * 8
-        assert files[0] == files[1]
+        for kind, argv in inputs.items():
+            files = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=python_path)
+                env.update({var: threads for var in BLAS_THREAD_VARS})
+                out = tmp_path / f"{kind}-threads{threads}.f64"
+                done = subprocess.run(
+                    [sys.executable, "-m", "momentforge", *argv, "--out", str(out)],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                )
+                assert done.returncode == 0, done.stderr
+                files.append(out.read_bytes())
+            assert len(files[0]) == 16385 * 50 * 8, kind
+            assert files[0] == files[1], kind
 
     @pytest.mark.parametrize("existing", [True, False])
     @pytest.mark.parametrize("fmt", ["csv", "f64"])

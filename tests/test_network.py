@@ -2,14 +2,17 @@
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import sample_hidden
+from oracles import householder_rotation, sample_hidden
 from scipy import stats
 
 from momentforge import (
     Bump,
     HiddenDirectionDist,
+    LiftedNetwork,
     PushforwardDist,
     ReluNetwork1D,
     ReluUnit,
@@ -22,7 +25,8 @@ from momentforge import (
     lift,
     reduce_rule,
 )
-from momentforge.network import bump_units, householder_rotation
+from momentforge.cli import _network_payload, network_from_payload
+from momentforge.network import bump_units
 
 EPS0_FOR_ORDER = {3: 1e-6, 5: 1e-6, 7: 1e-8, 9: 1e-9}
 
@@ -143,9 +147,41 @@ class TestHouseholder:
         v[0] = 1.0
         assert np.array_equal(householder_rotation(v), np.eye(5))
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValidationError):
-            householder_rotation(np.array([1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "v", [[1.0, 1.0], [math.nan, 0.0]], ids=["non-unit", "nan"]
+    )
+    def test_non_unit_rejected(self, v):
+        # A NaN norm fails every comparison, so the check must refuse it too.
+        with pytest.raises(ValidationError, match="unit vector"):
+            LiftedNetwork(v=np.array(v), sigma=0.05, inner=ReluNetwork1D(units=()))
+
+    @pytest.mark.parametrize("d", [2, 7, 50, 1000])
+    def test_rank_one_update_matches_dense(self, build5, d):
+        # Both sides reflect the same rows x by the same u = e_1 - v.  To
+        # first order in the unit roundoff eps, the rank-1 update is off
+        # H x by at most (4d + 7) eps |x| in each entry and the dense
+        # product by (5d + 5) eps |x|, so they differ by less than
+        # 10 (d + 3) eps |x| in each row.
+        net = compile_instance(build5[1])
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((200, d + 1))
+        e1 = np.zeros(d)
+        e1[0] = 1.0
+        v = rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        for direction in (e1, v):
+            lifted = lift(net, 0.05, d, direction)
+            fstar = lifted.inner.eval(z[:, 0]) + 0.05 * z[:, 1]
+            x = np.concatenate([fstar[:, None], z[:, 2:]], axis=1)
+            out = lifted.eval(z)
+            dense = x @ householder_rotation(direction).T
+            if direction is e1:
+                assert np.array_equal(out, x)
+                assert np.array_equal(out, dense)
+            else:
+                gap = np.max(np.abs(out - dense), axis=1)
+                bound = 10 * (d + 3) * np.finfo(float).eps / 2
+                assert np.all(gap <= bound * np.linalg.norm(x, axis=1))
 
 
 class TestLift:
@@ -195,6 +231,24 @@ class TestLift:
         assert set(sizes) == {"inner_relu_units", "per_coordinate_pure_relu"}
         assert sizes["inner_relu_units"] == 4 * (evolved.m - 1)
         assert sizes["per_coordinate_pure_relu"] == 4 * (evolved.m - 1) + 4
+
+    def test_no_dense_state_at_d4000(self, build5):
+        # Lifting, reloading and evaluating 8 rows is O(d) memory; a d x d
+        # reflection at d = 4000 alone would take 128 MB.
+        net = compile_instance(build5[1])
+        d = 4000
+        v = np.random.default_rng(11).standard_normal(d)
+        v /= np.linalg.norm(v)
+        z = np.random.default_rng(12).standard_normal((8, d + 1))
+        tracemalloc.start()
+        try:
+            lifted = network_from_payload(_network_payload(lift(net, 0.05, d, v)))
+            out = lifted.eval(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (8, d)
+        assert peak < 8 * 2**20
 
     def test_non_unit_direction_rejected(self, build5):
         _, evolved, _ = build5
