@@ -150,8 +150,8 @@ class LiftedNetwork:
         u = -self.v
         u[0] += 1.0
         nrm2 = float(np.einsum("i,i->", u, u))
-        # H x = x - (2 / |u|^2) (x.u) u; the identity when v = e_1.  x.u is
-        # an einsum, not a BLAS product, as in HiddenDirectionDist.embed.
+        # H x = x - (2 / |u|^2) (x.u) u, and x when v = e_1.  x.u is an
+        # einsum, so its rounding does not depend on the BLAS thread count.
         if nrm2 >= 1e-24:
             out -= np.outer(np.einsum("ij,j->i", out, u) * (2.0 / nrm2), u)
         return out[0] if z.ndim == 1 else out

@@ -1,7 +1,6 @@
 """ReLU compilation, smoothing, and the hidden-direction lift."""
 
 import math
-
 import tracemalloc
 
 import numpy as np
@@ -169,19 +168,20 @@ class TestHouseholder:
         e1[0] = 1.0
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        for direction in (e1, v):
+
+        def reflected(direction):
             lifted = lift(net, 0.05, d, direction)
             fstar = lifted.inner.eval(z[:, 0]) + 0.05 * z[:, 1]
             x = np.concatenate([fstar[:, None], z[:, 2:]], axis=1)
-            out = lifted.eval(z)
-            dense = x @ householder_rotation(direction).T
-            if direction is e1:
-                assert np.array_equal(out, x)
-                assert np.array_equal(out, dense)
-            else:
-                gap = np.max(np.abs(out - dense), axis=1)
-                bound = 10 * (d + 3) * np.finfo(float).eps / 2
-                assert np.all(gap <= bound * np.linalg.norm(x, axis=1))
+            return x, lifted.eval(z), x @ householder_rotation(direction).T
+
+        x, out, dense = reflected(e1)
+        assert np.array_equal(out, x)
+        assert np.array_equal(out, dense)
+        x, out, dense = reflected(v)
+        gap = np.max(np.abs(out - dense), axis=1)
+        bound = 10 * (d + 3) * np.finfo(float).eps / 2
+        assert np.all(gap <= bound * np.linalg.norm(x, axis=1))
 
 
 class TestLift:
