@@ -12,16 +12,21 @@ family with a smaller coefficient and a fatter noise width.
 
 Sampling uses counter-based Philox streams keyed by (seed, stream id), so
 every operation draws from its own reproducible stream regardless of what
-ran before it.  The d-dimensional samplers also come as block streams
-(hidden_blocks, null_blocks, latent_blocks), which yield the one-shot
-sample a block of rows at a time.
+ran before it.  The d-dimensional samplers come as block streams
+(hidden_blocks, null_blocks, latent_blocks), which yield a sample a block of
+rows at a time.  Block b is drawn from its stream jumped b times, a disjoint
+range of Philox counters, so up to two blocks are filled at once on worker
+threads and the bytes depend on (seed, stream, n, width) alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,59 +373,75 @@ def series_terms(constant: float, rho: float, tol: float) -> float:
     return terms
 
 
-def _gaussian_blocks(
-    seed: int, stream: int, n: int, width: int, rows: int | None
-) -> Iterator[np.ndarray]:
-    """An (n, width) standard normal draw from stream (seed, stream) in blocks
-    of `rows` rows, the last block taking the remainder.
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    A Philox stream is consumed in row order, so the blocks stack to the
-    one-shot draw whatever `rows` is, and every map applied to the blocks
-    rounds each row on its own.  A default block holds the largest power
-    of two rows that fits in SAMPLE_BLOCK values (at least one row), so at
-    most SAMPLE_BLOCK // width rows, and the last block is never the
-    shorter one.
+
+def _gaussian_blocks(
+    seed: int, stream: int, n: int, width: int
+) -> Iterator[np.ndarray]:
+    """An (n, width) standard normal draw from stream (seed, stream), a block
+    of rows at a time.
+
+    A block holds the largest power of two rows that fits in SAMPLE_BLOCK
+    values (at least one row), and the last block also takes the remainder,
+    so it is never the shorter one.  Block b is filled from the stream's
+    Philox generator jumped b times, so block 0 is the stream itself and a
+    draw of fewer than two blocks is the stream's one-shot draw.
+
+    min(blocks, CPUs, 2) worker threads fill the blocks; they only run
+    standard_normal into buffers allocated here, and the generators are
+    made here too.  Blocks are yielded in order, at most workers + 1 of them
+    in flight, and each yielded block belongs to the consumer.
     """
     if width < 1 or n < 1:
         raise ValidationError("dimension and sample count must be >= 1")
-    if rows is None:
-        rows = 1 << max((SAMPLE_BLOCK // width).bit_length() - 1, 0)
-    rng = rng_stream(seed, stream)
-    start = 0
-    while start < n:
-        size = n - start if n - start < 2 * rows else rows
-        yield rng.standard_normal((size, width))
-        start += size
+    rows = 1 << max((SAMPLE_BLOCK // width).bit_length() - 1, 0)
+    blocks = max(n // rows, 1)
+    bit_generator = rng_stream(seed, stream).bit_generator
+    workers = min(blocks, _cpu_count(), 2)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for b in range(blocks):
+            size = n - b * rows if b == blocks - 1 else rows
+            rng = np.random.Generator(bit_generator.jumped(b))
+            buf = np.empty((size, width))
+            pending.append(pool.submit(rng.standard_normal, out=buf))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def hidden_blocks(
-    hd: HiddenDirectionDist, n: int, seed: int, rows: int | None = None
-) -> Iterator[np.ndarray]:
+def hidden_blocks(hd: HiddenDirectionDist, n: int, seed: int) -> Iterator[np.ndarray]:
     """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d), in
     blocks of rows.  The n marginal draws s come first and whole (g1, then
     g2), then g block by block from its own stream, each block embedded with
-    its slice of s."""
+    its slice of s on the calling thread."""
     s = hd.marginal.sample(n, seed, stream=STREAM_HIDDEN)
     start = 0
-    for g in _gaussian_blocks(seed, STREAM_HIDDEN + 0x100, n, hd.d, rows):
+    for g in _gaussian_blocks(seed, STREAM_HIDDEN + 0x100, n, hd.d):
         yield hd.embed(s[start : start + len(g)], g)
         start += len(g)
 
 
-def null_blocks(d: int, n: int, seed: int, rows: int | None = None) -> Iterator[np.ndarray]:
+def null_blocks(d: int, n: int, seed: int) -> Iterator[np.ndarray]:
     """n standard Gaussian vectors in R^d in blocks of rows."""
-    return _gaussian_blocks(seed, STREAM_NULL, n, d, rows)
+    return _gaussian_blocks(seed, STREAM_NULL, n, d)
 
 
-def latent_blocks(
-    width: int, n: int, seed: int, rows: int | None = None
-) -> Iterator[np.ndarray]:
+def latent_blocks(width: int, n: int, seed: int) -> Iterator[np.ndarray]:
     """n standard Gaussian inputs of a generator with `width` inputs (d + 1
     for a lifted network) in blocks of rows."""
-    return _gaussian_blocks(seed, STREAM_LATENT, n, width, rows)
+    return _gaussian_blocks(seed, STREAM_LATENT, n, width)
 
 
 def sample_null(d: int, n: int, seed: int) -> np.ndarray:
-    """n standard Gaussian vectors in R^d, deterministic given seed."""
-    return next(null_blocks(d, n, seed, rows=n))
+    """n standard Gaussian vectors in R^d, deterministic given seed: the
+    blocks of null_blocks stacked."""
+    return np.concatenate(list(null_blocks(d, n, seed)))
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +50,7 @@ import numpy as np
 from .distributions import (
     STREAM_ORACLE,
     HiddenDirectionDist,
+    _cpu_count,
     comb_indicator,
     rng_stream,
     series_terms,
@@ -584,14 +584,6 @@ class DistinguisherResult:
     trials: int
     truths: tuple[bool, ...]
     decisions: tuple[bool, ...]
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def run_distinguisher(

@@ -8,8 +8,9 @@ runs them concurrently, sampled projections where the library integrates
 the projected law, a factor recomputed per row where the
 library keeps it per sweep, two Gaussian kernels where the library uses
 one likelihood ratio, each ramp's end values listed as features beside the
-atom values where the library takes the atoms alone, the hidden-direction
-sample drawn whole where the library streams it in blocks, chi-squared
+atom values where the library takes the atoms alone, a sample's Gaussian
+blocks drawn one after another where the library fills them on worker
+threads, chi-squared
 summed as a Hermite series where the library integrates the exact density,
 and the d x d Householder matrix where the lifted network applies the
 reflection as a rank-1 update.
@@ -36,6 +37,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
 from momentforge.bumps import _GL_NODES, _GL_WEIGHTS, Bump
+from momentforge import distributions
 from momentforge.distributions import (
     TAIL_SIGMAS,
     hidden_blocks,
@@ -68,8 +70,28 @@ STREAM_DIRECTIONS = 4
 
 def sample_hidden(hd, n, seed):
     """n vectors s*v + (I - vv')g with s from the marginal, g ~ N(0, I_d):
-    the stream of distributions.hidden_blocks drawn as one block."""
-    return next(hidden_blocks(hd, n, seed, rows=n))
+    the blocks of distributions.hidden_blocks stacked."""
+    return np.concatenate(list(hidden_blocks(hd, n, seed)))
+
+
+def keyed_gaussian_blocks(seed, stream, n, width):
+    """The blocks of distributions._gaussian_blocks, one after another: block
+    b holds `rows` rows (the largest power of two with rows * width <=
+    SAMPLE_BLOCK, at least one), the last block also takes the remainder,
+    and block b is drawn from the (seed, stream) Philox generator jumped b
+    times."""
+    rows = 1
+    while 2 * rows * width <= distributions.SAMPLE_BLOCK:
+        rows *= 2
+    philox = rng_stream(seed, stream).bit_generator
+    blocks = []
+    start = 0
+    while start < n:
+        size = n - start if n - start < 2 * rows else rows
+        rng = np.random.Generator(philox.jumped(len(blocks)))
+        blocks.append(rng.standard_normal((size, width)))
+        start += size
+    return blocks
 
 
 def householder_rotation(v: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import sample_hidden
+from oracles import keyed_gaussian_blocks
 from scipy import stats
 
 import momentforge
@@ -22,7 +22,6 @@ from momentforge import (
     PushforwardDist,
     QuadratureError,
     distance_to_support,
-    sample_null,
 )
 from momentforge import distributions
 from momentforge import verify as verify_module
@@ -32,7 +31,13 @@ from momentforge.cli import (
     main,
     network_from_payload,
 )
-from momentforge.distributions import STREAM_LATENT, ProjectedLaw, rng_stream
+from momentforge.distributions import (
+    STREAM_HIDDEN,
+    STREAM_LATENT,
+    STREAM_NULL,
+    ProjectedLaw,
+    rng_stream,
+)
 from momentforge.serialize import (
     fnum,
     instance_from_payload,
@@ -386,22 +391,26 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def one_shot(kind, direction, n, d, seed, net, built, sigma=0.05):
-    """The samples `sample` writes, drawn and mapped in one shot; net is the
-    exported network for the lifted kind, built the instance file."""
+    """The samples `sample` writes, with the Gaussian blocks drawn one after
+    another from their keyed substreams, stacked and mapped in one shot; net
+    is the exported network for the lifted kind, built the instance file."""
     if kind == "lifted":
-        z = rng_stream(seed, STREAM_LATENT).standard_normal((n, d + 1))
+        z = np.concatenate(keyed_gaussian_blocks(seed, STREAM_LATENT, n, d + 1))
         return network_from_payload(load_json(net)).eval(z)
     if kind == "null":
-        return sample_null(d, n, seed)
+        return np.concatenate(keyed_gaussian_blocks(seed, STREAM_NULL, n, d))
     evolved = instance_from_payload(load_json(built)["evolved"])
     marginal = PushforwardDist.from_instance(evolved, sigma)
     v = _hidden_direction(d, direction, seed)
-    return sample_hidden(HiddenDirectionDist(d=d, v=v, marginal=marginal), n, seed)
+    s = marginal.draw(rng_stream(seed, STREAM_HIDDEN), n)
+    g = np.concatenate(keyed_gaussian_blocks(seed, STREAM_HIDDEN + 0x100, n, d))
+    return HiddenDirectionDist(d=d, v=v, marginal=marginal).embed(s, g)
 
 
 class TestSampleStream:
-    """`sample` writes block by block; the file is the one-shot draw byte for
-    byte, and a failed run leaves --out as it was."""
+    """`sample` writes block by block; the file is the serial draw of the
+    keyed blocks, mapped in one shot, byte for byte, whatever the number of
+    CPUs, and a failed run leaves --out as it was."""
 
     D = 6
     SEED = 5
@@ -465,11 +474,29 @@ class TestSampleStream:
         want = self.reference(kind, direction, n, nets, built_m5)
         assert out.read_bytes() == self.reference_bytes(want, fmt, tmp_path)
 
+    @pytest.mark.parametrize("kind, direction", [CASES[1], CASES[3], CASES[4]])
+    def test_bytes_do_not_depend_on_cpu_count(
+        self, nets, built_m5, tmp_path, monkeypatch, kind, direction
+    ):
+        # Five blocks, filled on one or two threads.
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
+        n = 5 * self.ROWS + 3
+        argv = self.argv(kind, direction, nets, built_m5)
+        args = ["--n", str(n), "--seed", str(self.SEED), "--format", "f64"]
+        files = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"samples-{len(cpus)}.f64"
+            assert main([*argv, *args, "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        want = self.reference(kind, direction, n, nets, built_m5)
+        assert files == [self.reference_bytes(want, "f64", tmp_path)] * 3
+
     def test_default_blocks_at_d50(self, built_m5, tmp_path):
         # Two default blocks of 2**14 rows, the second taking one more row,
-        # at the benchmark's d = 50: the file is the one-shot draw byte for
-        # byte.  Every map rounds each row on its own, so this holds under
-        # any number of BLAS threads.
+        # at the benchmark's d = 50: the file is the serial keyed draw,
+        # mapped in one shot, byte for byte.  Every map rounds each row on
+        # its own, so this holds under any number of BLAS threads.
         d, n, seed = 50, 2 * 2**14 + 1, 5
         out = tmp_path / "samples.f64"
         cases = [("lifted", "e1"), ("lifted", "random"), ("planted", "random"), ("null", "e1")]
@@ -491,11 +518,12 @@ class TestSampleStream:
     def test_random_direction_bytes_ignore_blas_threads(self, built_m5, tmp_path):
         # Neither g.v nor the lifted network's x.u goes through BLAS, so the
         # planted and lifted files are the same under one and two BLAS
-        # threads; d and n span more than one default block.
+        # threads; d and n span two default blocks of 2**14 rows.
         net = tmp_path / "net.json"
         law = ["--d", "50", "--direction", "random"]
         assert main(["export", str(built_m5), *law, "--seed", "7", "--out", str(net)]) == 0
-        sample = ["--n", "16385", "--seed", "7", "--format", "f64"]
+        n = 2 * 2**14 + 1
+        sample = ["--n", str(n), "--seed", "7", "--format", "f64"]
         inputs = {
             "planted": ["sample", str(built_m5), "--kind", "planted", *law, *sample],
             "lifted": ["sample", str(net), *sample],
@@ -516,7 +544,7 @@ class TestSampleStream:
                 )
                 assert done.returncode == 0, done.stderr
                 files.append(out.read_bytes())
-            assert len(files[0]) == 16385 * 50 * 8, kind
+            assert len(files[0]) == n * 50 * 8, kind
             assert files[0] == files[1], kind
 
     @pytest.mark.parametrize("existing", [True, False])
@@ -731,6 +759,12 @@ class TestSampleStream:
             tracemalloc.stop()
         assert (tmp_path / "s.f64").stat().st_size == n * d * 8
         assert peak < 0.5 * n * d * 8
+
+    @pytest.mark.parametrize("kind", ["lifted", "planted", "null"])
+    def test_peak_memory_with_four_cpus(self, built_m5, tmp_path, monkeypatch, kind):
+        # Four CPUs still get two fillers, so at most three blocks in flight.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        self.test_peak_memory_is_below_half_the_output(built_m5, tmp_path, kind)
 
 
 class TestDistinguish:

@@ -1,13 +1,19 @@
 """Pushforward distributions: sampling, exact densities, direction sets."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import generate_directions, reference_density, sample_hidden
+from oracles import (
+    generate_directions,
+    keyed_gaussian_blocks,
+    reference_density,
+    sample_hidden,
+)
 from scipy import integrate, stats
 
 from momentforge import (
@@ -18,6 +24,7 @@ from momentforge import (
     instance_eval,
     layout,
     reduce_rule,
+    distributions,
     sample_null,
 )
 from momentforge.distributions import (
@@ -312,41 +319,83 @@ class TestSampleNull:
 
 
 class TestSampleBlocks:
-    """Block streams stack to the one-shot draw."""
+    """Block streams equal the serial draw of their keyed substreams: block b
+    from the stream's Philox generator jumped b times."""
 
     N = 100
 
     @pytest.mark.parametrize("rows", [4, 16, 32, 128])
-    def test_hidden_blocks_stack_to_one_shot(self, dist5, rng, rows):
+    def test_hidden_blocks_stack_to_one_shot(self, dist5, rng, monkeypatch, rows):
         d, seed = 6, 12
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", rows * d)
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         hd = HiddenDirectionDist(d=d, v=v, marginal=dist5)
         # The layout: all n marginal draws (g1 then g2) from one stream, then
-        # the (n, d) Gaussian rows from another.
+        # the (n, d) Gaussian rows from another, in keyed blocks, embedded
+        # in one shot.
         s = dist5.draw(rng_stream(seed, STREAM_HIDDEN), self.N)
-        g = rng_stream(seed, STREAM_HIDDEN + 0x100).standard_normal((self.N, d))
+        g = np.concatenate(keyed_gaussian_blocks(seed, STREAM_HIDDEN + 0x100, self.N, d))
         want = hd.embed(s, g)
-        blocks = list(hidden_blocks(hd, self.N, seed, rows=rows))
+        blocks = list(hidden_blocks(hd, self.N, seed))
         assert np.array_equal(np.concatenate(blocks), want)
         assert np.array_equal(sample_hidden(hd, self.N, seed), want)
 
     @pytest.mark.parametrize("rows", [1, 7, N - 1, N, N + 1])
-    def test_gaussian_blocks_stack_to_one_shot(self, rows):
+    def test_gaussian_blocks_stack_to_one_shot(self, monkeypatch, rows):
+        # Blocks hold the largest power of two rows up to `rows`: 4 for 7.
         d, seed = 5, 13
-        null = rng_stream(seed, STREAM_NULL).standard_normal((self.N, d))
-        latent = rng_stream(seed, STREAM_LATENT).standard_normal((self.N, d))
-        got = np.concatenate(list(null_blocks(d, self.N, seed, rows=rows)))
-        assert np.array_equal(got, null)
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", rows * d)
+        for stream, blocks in ((STREAM_NULL, null_blocks), (STREAM_LATENT, latent_blocks)):
+            want = keyed_gaussian_blocks(seed, stream, self.N, d)
+            got = list(blocks(d, self.N, seed))
+            assert [len(b) for b in got] == [len(b) for b in want]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        null = np.concatenate(keyed_gaussian_blocks(seed, STREAM_NULL, self.N, d))
         assert np.array_equal(sample_null(d, self.N, seed), null)
-        got = np.concatenate(list(latent_blocks(d, self.N, seed, rows=rows)))
-        assert np.array_equal(got, latent)
+
+    @pytest.mark.parametrize("n", [1, 8, 15])
+    def test_one_block_is_the_unjumped_stream(self, monkeypatch, n):
+        # Fewer than 2 * rows rows make one block, the stream's one-shot draw.
+        d, seed = 3, 14
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", 8 * d)
+        for stream, blocks in ((STREAM_NULL, null_blocks), (STREAM_LATENT, latent_blocks)):
+            want = rng_stream(seed, stream).standard_normal((n, d))
+            (got,) = blocks(d, n, seed)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "rows, sizes", [(16, [16] * 5 + [20]), (50, [50, 50]), (128, [100])]
+        "rows, sizes", [(16, [16] * 5 + [20]), (50, [32, 32, 36]), (128, [100])]
     )
-    def test_last_block_takes_the_remainder(self, rows, sizes):
-        assert [len(b) for b in null_blocks(3, self.N, seed=1, rows=rows)] == sizes
+    def test_last_block_takes_the_remainder(self, monkeypatch, rows, sizes):
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", rows * 3)
+        assert [len(b) for b in null_blocks(3, self.N, seed=1)] == sizes
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_at_most_three_blocks_in_flight(self, monkeypatch, cpus):
+        # min(blocks, CPUs, 2) fillers; a block is in flight from its
+        # submission until the consumer asks for the next one.
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", 4 * 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools, submitted = [], []
+        real_pool = distributions.ThreadPoolExecutor
+
+        class CountingPool(real_pool):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(kwargs["out"])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "ThreadPoolExecutor", CountingPool)
+        yielded = 0
+        for block in null_blocks(3, self.N, seed=1):
+            assert block is submitted[yielded]
+            yielded += 1
+            assert len(submitted) - yielded < min(cpus, 2) + 1
+        assert pools == [min(cpus, 2)] and yielded == len(submitted) == 25
 
     @pytest.mark.parametrize(
         "d, rows", [(1, SAMPLE_BLOCK), (6, 2**17), (50, 2**14), (SAMPLE_BLOCK + 1, 1)]
