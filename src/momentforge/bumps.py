@@ -278,10 +278,10 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
     weight_i, and the right half mirrors the left.  Heights come from the
     reduced rule nodes and every bump gets the shared ramp width eps0.
 
-    Raises SupportCollisionError if eps0 makes neighboring supports touch,
-    and ValidationError if the measured moment error at eps0 exceeds nu/2;
-    that error names a smaller eps0 whose moments pass, when it finds one, and
-    otherwise the ramp-free moment error that bounds every eps0 from below.
+    Raises SupportCollisionError if eps0 makes neighboring supports touch, and
+    ValidationError if eps0 leaves a plateau edge unmoved or the moment error
+    at eps0 exceeds nu/2; the latter names a smaller eps0 that layout accepts,
+    if it finds one, else the ramp-free moment error bounding every eps0.
     """
     if not eps0 > 0.0:
         raise ValidationError("eps0 must be positive")
@@ -300,6 +300,8 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
         cum += gap_unit
         left.append((a, b))
     intervals = left + [(-b, -a) for (a, b) in reversed(left)]
+    if not _moves_edges(intervals, eps0):
+        raise ValidationError(f"eps0={eps0:.1e} leaves a plateau edge unmoved")
 
     bumps = []
     for (a, b), h in zip(intervals, reduced.nodes):
@@ -328,9 +330,9 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
     if worst >= nu / 2.0:
         message = f"moment error {worst:.3e} at eps0={eps0:.1e} exceeds nu/2 = {nu / 2:.3e}"
         # The ramp error is linear in eps0: scale eps0 down to nu/2 with a
-        # margin, and name the result only if its moments pass.
+        # margin, and name the result only if layout would accept it.
         feasible = float(f"{0.9 * eps0 * (nu / 2.0) / worst:.1e}")
-        if _moment_error(inst, feasible) < nu / 2.0:
+        if _moves_edges(intervals, feasible) and _moment_error(inst, feasible) < nu / 2.0:
             message += f"; eps0={feasible:.1e} is feasible"
         else:
             # The plateau atoms alone: the limit of the error as eps0 -> 0.
@@ -340,6 +342,11 @@ def layout(reduced: ReducedRule, eps0: float, nu: float) -> BumpInstance:
                 message += f", so no eps0 passes at nu={nu:g}"
         raise ValidationError(message)
     return inst
+
+
+def _moves_edges(intervals, eps: float) -> bool:
+    """a - eps != a and b + eps != b for every plateau interval (a, b)."""
+    return all(a - eps != a and b + eps != b for a, b in intervals)
 
 
 def _moment_error(inst: BumpInstance, eps: float) -> float:

@@ -30,12 +30,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bumps import BumpInstance, instance_eval, instance_value_law, law_moment
 from .errors import ValidationError
 from .gaussian import (
     HERMITE_KAPPA,
+    SQRT_2PI,
     gaussian_interval_mass,
     gaussian_moment,
     hermite_rows,
@@ -80,14 +80,6 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream)))
 
 
-def _stable_interval_mass(t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
-    """ndtr(t_hi) - ndtr(t_lo), evaluated through whichever tail is stable."""
-    flip = t_lo > 0.0
-    lo = np.where(flip, -t_hi, t_lo)
-    hi = np.where(flip, -t_lo, t_hi)
-    return ndtr(hi) - ndtr(lo)
-
-
 @dataclass(frozen=True)
 class ProjectedLaw:
     """Law of coef * f(g1) + width * g2 for a piecewise-linear f.
@@ -114,9 +106,7 @@ class ProjectedLaw:
         out = np.zeros_like(pts)
         if self.atom_values.size:
             shifted = pts[:, None] - self.coef * self.atom_values[None, :]
-            kern = np.exp(-shifted * shifted / (2.0 * var0)) / (
-                self.width * math.sqrt(2.0 * math.pi)
-            )
+            kern = np.exp(-shifted * shifted / (2.0 * var0)) / (self.width * SQRT_2PI)
             out += kern @ self.atom_masses
         if self.ramps.size:
             # One (ramp, point) broadcast.  Rows are added in ramp order so the
@@ -128,9 +118,7 @@ class ProjectedLaw:
             coefs = np.exp(-a * a / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
             mu = a * b / var
             sd = self.width / np.sqrt(var)
-            t_lo = (g_lo - mu) / sd
-            t_hi = (g_hi - mu) / sd
-            for row in coefs * _stable_interval_mass(t_lo, t_hi):
+            for row in coefs * gaussian_interval_mass((g_lo - mu) / sd, (g_hi - mu) / sd):
                 out += row
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
@@ -150,15 +138,13 @@ class ProjectedLaw:
         out = (ts[:, None] >= self.coef * self.atom_values) @ self.atom_masses
         for g_lo, g_hi, slope, intercept in self.ramps:
             rise = self.coef * slope
+            level = ts - self.coef * intercept
             if rise == 0.0:
-                whole = gaussian_interval_mass(g_lo, g_hi)
-                out += np.where(ts >= self.coef * intercept, whole, 0.0)
-                continue
-            cut = np.clip((ts - self.coef * intercept) / rise, g_lo, g_hi)
-            if rise > 0.0:
-                out += _stable_interval_mass(np.full_like(cut, g_lo), cut)
+                out += gaussian_interval_mass(g_lo, np.where(level >= 0.0, g_hi, g_lo))
+            elif rise > 0.0:
+                out += gaussian_interval_mass(g_lo, np.clip(level / rise, g_lo, g_hi))
             else:
-                out += _stable_interval_mass(cut, np.full_like(cut, g_hi))
+                out += gaussian_interval_mass(np.clip(level / rise, g_lo, g_hi), g_hi)
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def feature_points(self) -> np.ndarray:
@@ -205,9 +191,7 @@ def _law_from_instance(inst: BumpInstance, coef: float, width: float) -> Project
     atoms[0] = (0.0, max(1.0 - covered, 0.0))
     values = np.array([a[0] for a in atoms])
     masses = np.array([a[1] for a in atoms])
-    ramp_arr = (
-        np.array(ramps, dtype=float) if ramps else np.empty((0, 4), dtype=float)
-    )
+    ramp_arr = np.array(ramps, dtype=float).reshape(-1, 4)
     return ProjectedLaw(
         coef=coef, width=width, atom_values=values, atom_masses=masses, ramps=ramp_arr
     )

@@ -12,7 +12,8 @@ weight as "gap mass"; that mass becomes the region where the piecewise-linear
 construction is identically zero.  Truncated moments and the antiderivative
 polynomials behind their closed forms are test oracles (tests/oracles.py).
 
-All functions are pure; rules are frozen after construction.
+All functions are pure; rules are frozen after construction.  This is the
+package's only module that imports scipy: ndtr and ndtri from scipy.special.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import ndtr, ndtri
 
 from .errors import ValidationError
@@ -31,6 +31,7 @@ __all__ = [
     "QuadratureRule",
     "ReducedRule",
     "gaussian_density",
+    "gaussian_cdf",
     "gaussian_quantile",
     "gaussian_interval_mass",
     "gaussian_moment",
@@ -57,23 +58,32 @@ def gaussian_density(x, variance: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
+def gaussian_cdf(x: float) -> float:
+    """P(g <= x) for g ~ N(0,1)."""
+    return float(ndtr(x))
+
+
 def gaussian_quantile(p: float) -> float:
     """Inverse standard normal CDF with one Newton polish step."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile requires p in (0,1), got {p}")
     x = float(ndtri(p))
     # One Newton step: phi(x) is safely nonzero for any p representable in (0,1).
-    x -= (float(ndtr(x)) - p) / gaussian_density(x)
+    x -= (gaussian_cdf(x) - p) / gaussian_density(x)
     return x
 
 
-def gaussian_interval_mass(a: float, b: float) -> float:
-    """P(a <= g <= b) for g ~ N(0,1), stable when both endpoints sit in one tail."""
-    if a > b:
-        raise ValidationError(f"interval endpoints out of order: {a} > {b}")
-    if a >= 0.0:
-        return float(ndtr(-a) - ndtr(-b))
-    return float(ndtr(b) - ndtr(a))
+def gaussian_interval_mass(a, b):
+    """P(a <= g <= b) for g ~ N(0,1), elementwise (a float for scalar ends).
+    Where a >= 0 the sign s = -1 turns s ndtr(s b) - s ndtr(s a) into the
+    upper tail's ndtr(-a) - ndtr(-b), so masses in one tail keep their digits."""
+    a, b = np.asarray(a, dtype=float)[()], np.asarray(b, dtype=float)[()]
+    if (a > b).any():
+        lo, hi = np.broadcast_arrays(a, b)
+        raise ValidationError(f"interval ends out of order: {lo[lo > hi][0]} > {hi[lo > hi][0]}")
+    s = 1.0 - 2.0 * (a >= 0.0)
+    out = s * ndtr(s * b) - s * ndtr(s * a)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def double_factorial(n: int) -> int:
@@ -184,7 +194,7 @@ def hermite_rule(m: int) -> QuadratureRule:
     if m % 2 == 0 or not 3 <= m <= 41:
         raise ValidationError(f"rule order must be odd in [3, 41], got {m}")
     off_diagonal = np.sqrt(np.arange(1.0, m))
-    nodes = eigh_tridiagonal(np.zeros(m), off_diagonal, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
     for _ in range(2):
         h = _hermite_table(m, nodes)
         nodes = nodes - h[m] / (math.sqrt(m) * h[m - 1])

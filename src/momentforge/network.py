@@ -160,8 +160,6 @@ class LiftedNetwork:
 def lift(net: ReluNetwork1D, sigma: float, d: int, v: np.ndarray) -> LiftedNetwork:
     """Lift the 1-D network to the d-dimensional hidden-direction generator,
     its units scaled by sqrt(1 - sigma^2)."""
-    if d < 2:
-        raise ValidationError("ambient dimension must be >= 2")
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise ValidationError(f"direction must have dimension {d}")

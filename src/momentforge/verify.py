@@ -25,13 +25,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bumps import BumpInstance
 from .distributions import PushforwardDist, comb_indicator, series_terms
 from .errors import NumericGuardError, SeriesTruncationError, ValidationError
 from .flow import EvolutionTrace, VandermondeCheck, vandermonde_sigma_check
-from .gaussian import SQRT_2PI, gaussian_density, gaussian_moment
+from .gaussian import SQRT_2PI, gaussian_cdf, gaussian_density, gaussian_moment
 # bench/tracer.py wraps each module's panel_integrate_1d by name.
 from .integrate import ROUNDING_ULPS, Estimate, panel_integrate_1d, panel_integrate_2d
 from .network import compile_instance
@@ -109,13 +108,13 @@ def _chi_squared_tail(dist: PushforwardDist, bound: float) -> float:
     D'(x) <= phi_sigma(s) at |x| = R + s, s > 0, and the integrand is at most
     exp(-a s^2 + R s + R^2 / 2) / (sigma^2 sqrt(2 pi)) with a = 1/sigma^2 - 1/2 > 0.  Completing the square over s > S = bound - R
     gives, for both tails together,
-    2 sqrt(pi / a) exp(R^2/2 + R^2/(4a)) ndtr(-sqrt(2a) (S - R/(2a))) / (sigma^2 sqrt(2 pi)).
+    2 sqrt(pi / a) exp(R^2/2 + R^2/(4a)) Phi(-sqrt(2a) (S - R/(2a))) / (sigma^2 sqrt(2 pi)).
     """
     radius, sigma = dist.support_radius(), dist.sigma
     a = 1.0 / (sigma * sigma) - 0.5
     shift = bound - radius - radius / (2.0 * a)
     scale = math.exp(radius * radius * (0.5 + 0.25 / a)) / (sigma * sigma * SQRT_2PI)
-    return 2.0 * math.sqrt(math.pi / a) * scale * float(ndtr(-math.sqrt(2.0 * a) * shift))
+    return 2.0 * math.sqrt(math.pi / a) * scale * gaussian_cdf(-math.sqrt(2.0 * a) * shift)
 
 
 def _ratio_breaks(dist: PushforwardDist) -> np.ndarray:
@@ -324,8 +323,10 @@ class VerifyConfig:
     vandermonde_constant: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 < self.nu < 1.0 or not 0.0 < self.sigma < 1.0:
-            raise ValidationError("nu and sigma must lie in (0,1)")
+        if not 0.0 < self.nu < 1.0:
+            raise ValidationError(f"nu must lie in (0,1), got {self.nu}")
+        if not 0.0 < self.sigma <= 0.5:
+            raise ValidationError(f"sigma must lie in (0, 1/2], got {self.sigma}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from momentforge import (
     layout,
     reduce_rule,
 )
+from momentforge import bumps
 from momentforge.bumps import instance_value_law, law_moment
 from momentforge.gaussian import gaussian_interval_mass, gaussian_moment
 
@@ -355,6 +356,27 @@ class TestLayout:
         )
         assert named is not None
         assert float(named.group(1)) == pytest.approx(floor, rel=0.01)
+
+    @pytest.mark.parametrize("m, eps0", [(3, 1e-300), (5, 1e-200), (5, 1e-17)])
+    def test_eps0_that_moves_no_edge_rejected(self, m, eps0):
+        # A ramp narrower than the spacing of the floats at a plateau edge
+        # leaves the edge where it is, so the build would claim a slope of
+        # |h| / eps0 that its breakpoints do not have.
+        reduced = reduce_rule(hermite_rule(m))
+        with pytest.raises(ValidationError, match="leaves a plateau edge unmoved"):
+            layout(reduced, eps0, 1e-4)
+
+    def test_feasible_hint_names_no_refused_eps0(self, monkeypatch):
+        # With a moment error linear in eps0 and no ramp-free floor, the
+        # scaled-down eps0 would pass the moments but move no edge; the hint
+        # must not name it.
+        monkeypatch.setattr(bumps, "_moment_error", lambda inst, eps: 1e10 * eps)
+        reduced = reduce_rule(hermite_rule(5))
+        with pytest.raises(ValidationError) as excinfo:
+            layout(reduced, 1e-15, 1e-12)
+        message = str(excinfo.value)
+        assert "is feasible" not in message
+        assert "ramp-free moment error is 0.000e+00" in message
 
     def test_eps0_must_be_positive(self):
         reduced = reduce_rule(hermite_rule(3))

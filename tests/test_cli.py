@@ -137,6 +137,14 @@ class TestBuild:
         assert "ramp-free moment error is 5.7" in err
         assert "no eps0 passes at nu=0.0001" in err
 
+    @pytest.mark.parametrize("m, eps0", [("3", "1e-300"), ("5", "1e-200")])
+    def test_eps0_that_moves_no_edge_exits_2(self, tmp_path, capsys, m, eps0):
+        out = tmp_path / "tiny.json"
+        code = main(["build", "--m", m, "--eps0", eps0, "--out", str(out)])
+        assert code == 2
+        assert "leaves a plateau edge unmoved" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_exit_code(self, tmp_path):
         out = tmp_path / "bad.json"
         # eps0 large enough to blow the nu/2 budget but not collide.
@@ -217,6 +225,18 @@ class TestVerify:
         argv = ["verify", str(built_m5), "--sigma", "0.001", "--cosine", "0.999999"]
         assert main(argv) == 3
         assert "K = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0.999", "0.5000001", "0", "-0.1", "nan"])
+    def test_sigma_outside_domain_exits_2_before_any_check(
+        self, built_m5, tmp_path, capsys, sigma
+    ):
+        report_path = tmp_path / "report.json"
+        code = main(["verify", str(built_m5), "--sigma", sigma, "--out", str(report_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sigma must lie in (0, 1/2], got {float(sigma)}" in captured.err
+        assert not report_path.exists()
 
     def test_narrow_sigma_certifies(self, built_m5, tmp_path):
         # chi^2 is an exact-density integral, so sigma = 1e-3 needs no
@@ -377,6 +397,19 @@ class TestExportAndSample:
         assert code == 2
         assert f"--d must be >= 1, got {d}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("direction", ["e1", "random"])
+    def test_export_and_sample_at_d1(self, built_m5, tmp_path, direction):
+        # At d = 1 the reflection is the identity or a sign flip.
+        net = tmp_path / "net.json"
+        args = ["--d", "1", "--direction", direction, "--seed", "4", "--out", str(net)]
+        assert main(["export", str(built_m5), *args]) == 0
+        assert load_json(net)["d"] == 1
+        out = tmp_path / "samples.f64"
+        argv = ["sample", str(net), "--n", "50", "--format", "f64", "--out", str(out)]
+        assert main(argv) == 0
+        samples = np.fromfile(out, dtype="<f8")
+        assert samples.size == 50 and np.all(np.isfinite(samples))
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_null_dimension_must_be_positive(self, built_m5, tmp_path, capsys, d):

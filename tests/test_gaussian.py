@@ -1,6 +1,10 @@
 """Gaussian primitives and the discrete moment-matching rules."""
 
+import ast
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from oracles import (
 from scipy import integrate
 from scipy.special import ndtr
 
+import momentforge
 from momentforge import (
     QuadratureRule,
     ValidationError,
@@ -22,7 +27,12 @@ from momentforge import (
     hermite_rule,
     reduce_rule,
 )
-from momentforge.gaussian import double_factorial, gaussian_moment
+from momentforge.gaussian import (
+    double_factorial,
+    gaussian_cdf,
+    gaussian_interval_mass,
+    gaussian_moment,
+)
 
 SUPPORTED_ORDERS = (3, 5, 7, 9, 11, 17, 25, 41)
 
@@ -94,6 +104,96 @@ class TestDensityCdfQuantile:
     def test_quantile_domain(self, p):
         with pytest.raises(ValidationError):
             gaussian_quantile(p)
+
+
+def bits(x):
+    """The IEEE bit patterns of x, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestIntervalMass:
+    @staticmethod
+    def ends(n=4000):
+        """Ordered ends in both tails, across 0, and with lower end exactly 0."""
+        x = np.random.default_rng(31).uniform(-40.0, 40.0, (2, n))
+        a, b = np.minimum(*x), np.maximum(*x)
+        a[::7], b[::7] = 0.0, np.abs(b[::7])
+        a[1::7], b[1::7] = -0.0, np.abs(b[1::7])
+        b[2::7] = a[2::7]
+        return a, b
+
+    def test_array_is_the_scalar_kernel_bit_for_bit(self):
+        a, b = self.ends()
+        assert np.any(a > 0.0) and np.any(b < 0.0) and np.any(a == 0.0)
+        scalar = [gaussian_interval_mass(float(lo), float(hi)) for lo, hi in zip(a, b)]
+        assert np.array_equal(bits(gaussian_interval_mass(a, b)), bits(np.array(scalar)))
+
+    def test_upper_tail_from_a_lower_end_of_zero(self):
+        # The tie rule: a >= 0 (so -0.0 and 0.0 too) takes the upper tail.
+        # Equal ends give +0.0, never -0.0.
+        a, b = self.ends()
+        mass = gaussian_interval_mass(a, b)
+        upper = a >= 0.0
+        assert np.array_equal(bits(mass[upper]), bits((ndtr(-a) - ndtr(-b))[upper]))
+        assert np.array_equal(bits(mass[~upper]), bits((ndtr(b) - ndtr(a))[~upper]))
+        assert not np.any(np.signbit(mass))
+
+    def test_broadcasts_and_returns_float_for_scalars(self):
+        mass = gaussian_interval_mass(0.5, np.array([[0.5, 1.0], [2.0, 3.0]]))
+        assert mass.shape == (2, 2) and mass[0, 0] == 0.0
+        assert type(gaussian_interval_mass(-1.0, 1.0)) is float
+        assert gaussian_cdf(0.0) == 0.5 and type(gaussian_cdf(0.3)) is float
+
+    def test_within_two_ulps_of_the_cdf_difference(self):
+        # The kernel and ndtr(b) - ndtr(a) are the same quantity written
+        # through different tails; they differ by at most the rounding of
+        # the larger CDF value, twice.
+        a, b = self.ends()
+        gap = np.abs(gaussian_interval_mass(a, b) - (ndtr(b) - ndtr(a)))
+        assert np.all(gap <= 2.0 * np.spacing(np.maximum(ndtr(a), ndtr(b))))
+
+    def test_out_of_order_rejected(self):
+        with pytest.raises(ValidationError, match="2.0 > 1.0"):
+            gaussian_interval_mass(2.0, 1.0)
+        with pytest.raises(ValidationError, match="3.0 > 2.5"):
+            gaussian_interval_mass(np.array([0.0, 3.0]), np.array([1.0, 2.5]))
+
+
+SRC = Path(momentforge.__file__).resolve().parent
+
+
+class TestScipyBoundary:
+    """gaussian.py is the one module that touches scipy, so a replacement
+    for scipy.special's ndtr and ndtri has one place to go."""
+
+    def test_only_gaussian_imports_scipy_and_only_special(self):
+        seen = {}
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    if name == "scipy" or name.startswith("scipy."):
+                        seen.setdefault(path.name, set()).add(name)
+        assert seen == {"gaussian.py": {"scipy.special"}}
+
+    def test_import_loads_no_scipy_linalg(self):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import momentforge\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDoubleFactorials:

@@ -198,6 +198,15 @@ class TestLift:
         assert np.allclose(out[:, 0], fstar, atol=1e-12)
         assert np.allclose(out[:, 1:], z[:, 2:], atol=1e-12)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_d1_is_plus_or_minus_fstar(self, build5, sign):
+        # At d = 1, v = +-1 and the reflection is the identity or x -> -x.
+        lifted = lift(compile_instance(build5[1]), 0.05, 1, np.array([sign]))
+        z = np.random.default_rng(13).standard_normal((200, 2))
+        fstar = lifted.inner.eval(z[:, 0]) + 0.05 * z[:, 1]
+        assert np.array_equal(lifted.eval(z)[:, 0], sign * fstar)
+        assert lifted.eval(z[0]).shape == (1,)
+
     def test_projection_recovers_inner(self, build5, rng):
         _, evolved, _ = build5
         net = compile_instance(evolved)
