@@ -18,6 +18,7 @@ tests/oracles.py, where the tests use them as cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -82,8 +83,15 @@ class Bump:
     @property
     def plateau_mass(self) -> float:
         """Gaussian mass of the plateau [center - half_width, center + half_width]."""
-        c, w = self.center, self.half_width
-        return gaussian_interval_mass(c - w, c + w)
+        return _plateau_mass(self.center, self.half_width)
+
+
+# The flow moves only heights and the ramp, so a build's plateaus keep their
+# (center, half_width) from the layout on: one mass per plateau, shared by the
+# new Bumps that every BumpInstance.with_state makes.
+@functools.lru_cache(maxsize=256)
+def _plateau_mass(center: float, half_width: float) -> float:
+    return gaussian_interval_mass(center - half_width, center + half_width)
 
 
 def bump_eval(b: Bump, z):

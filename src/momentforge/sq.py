@@ -2,8 +2,24 @@
 
 An oracle answers the two registered query forms, ProjectionQuery and
 MonomialQuery, with range [-1, 1]; any other query is rejected before it is
-logged.  Honest oracles answer with empirical means over fresh samples sized
-so the answer lands within tau with probability >= 0.95.  Adversarial
+logged.  Honest oracles answer with the mean of
+n = min(ceil(4 / tau^2), ceil(20 V / tau^2)) fresh samples, where V is a
+certified upper bound on the query's second moment E_target[q^2], capped at
+1.  The first count is two standard errors of tau under the range bound's
+worst-case variance 1; where the second is smaller, Chebyshev's inequality
+alone, P(|mean - E q| >= tau) <= V / (n tau^2) <= 1/20, puts the answer
+within tau with probability >= 0.95, with no normal approximation.  V comes
+from closed forms: by Hoelder's inequality a monomial of degree D has
+E[prod x_i^(2 p_i)] <= max_i E[x_i^(2D)], and the clipped power
+t^j / CLIP_BASE^j that _clipped_power makes has E[t^(2j)]; each is a moment
+of c s + sqrt(1 - c^2) g, for s the planted marginal, g ~ N(0,1) and c the
+coordinate's or direction's cosine with the hidden direction (c = 0 under
+the null).  Any other query function, oracle-v's comb among them, takes
+V = 1 and draws ceil(4 / tau^2) samples.  A planted oracle thus sizes its
+samples by its own law, which a STAT(tau) oracle may do: the contract
+constrains only how far an answer lies from the target expectation.  An
+answer that would need more than MAX_HONEST_SAMPLES draws is refused with
+ValidationError before any draw.  Adversarial
 oracles compute the true expectation (closed form for monomial queries via
 Wick pairings; for projection queries, the truncated Mehler series of the
 projected density, or quadrature of the exact density where the series
@@ -25,9 +41,11 @@ the construction promises for bounded-degree moment queries.
 run_distinguisher calls its oracle factory in trial order on the calling
 thread.  When every trial's oracle is honest it answers the trials
 concurrently, on up to one thread per CPU the process may use: each trial
-draws from its own oracle's counter-based stream and shares no mutable
-state, so the results do not depend on the worker count.  Adversarial
-trials are answered one after another on the calling thread.
+draws from its own oracle's counter-based stream, and the only mutable
+state trials share is the marginal's kept moments, whose entries are the
+same whichever thread writes them, so the results do not depend on the
+worker count.  Adversarial trials are answered one after another on the
+calling thread.
 
 The hidden direction is never exposed through the oracle interface; the
 "oracle-v" baseline reads the trial's candidate direction deliberately, as a
@@ -94,6 +112,11 @@ PROJECTION_BOUND = 12.0
 PROJECTION_PANELS = 48
 PROJECTION_TOL = 1e-13
 PROJECTION_BLOCK = 32
+# One honest answer draws at most MAX_HONEST_SAMPLES samples: 32 MiB per
+# float array, and a three-coordinate monomial answer peaks at about eleven
+# such arrays (370 MB, by tracemalloc), on each of up to one trial thread
+# per CPU.
+MAX_HONEST_SAMPLES = 2**22
 
 
 @dataclass(frozen=True)
@@ -279,6 +302,50 @@ def _null_monomial_moment(query: MonomialQuery) -> float:
     return out
 
 
+def _power_moment(target, cosine: float, k: int) -> float:
+    """E[t^k] for even k, t = cosine s + sqrt(1 - cosine^2) g with s the
+    planted marginal and g ~ N(0,1) independent; E[g^k] under the null."""
+    if isinstance(target, NullTarget):
+        return gaussian_moment(k)
+    marginal = target.hidden.marginal
+    width = math.sqrt(max(1.0 - cosine * cosine, 0.0))
+    # Odd orders of g vanish, so j runs over even orders: every term is >= 0.
+    return sum(
+        math.comb(k, j)
+        * cosine**j
+        * width ** (k - j)
+        * marginal.moment(j)
+        * gaussian_moment(k - j)
+        for j in range(0, k + 1, 2)
+    )
+
+
+def _second_moment_bound(query, target) -> float:
+    """V >= E_target[q^2] for the unclamped query q, capped at 1, since the
+    clamp only shrinks |q|; 1 for a query function with no closed form.
+
+    A monomial of degree D takes max_i E[x_i^(2D)] by Hoelder's inequality,
+    a clipped power t^j the projected moment E[t^(2j)], each over
+    CLIP_BASE^(2 degree).  The factor 1 + 1e-12 covers the sums' rounding.
+    """
+    planted = isinstance(target, PlantedTarget)
+    if isinstance(query, MonomialQuery):
+        order = 2 * query.degree
+        cosines = target.hidden.v[list(query.indices)] if planted else (0.0,)
+    else:
+        power = _CLIPPED_POWERS.get(id(query.fn))
+        if power is None:
+            return 1.0
+        order = 2 * power
+        cosines = (
+            float(np.clip(query.direction @ target.hidden.v, -1.0, 1.0))
+            if planted
+            else 0.0,
+        )
+    moment = max(_power_moment(target, float(c), order) for c in cosines)
+    return min(1.0, (1.0 + 1e-12) * moment / CLIP_BASE**order)
+
+
 def _union_interval_mass(points: np.ndarray, window: float) -> float:
     """Gaussian mass of the union of +-window intervals around the points."""
     intervals = sorted((p - window, p + window) for p in np.atleast_1d(points))
@@ -297,7 +364,8 @@ class QueryLogEntry:
     target expectation was computed: "series", "quadrature" or
     "closed-form".  error is that expectation's absolute error estimate:
     the integrator's, plus SERIES_TAIL on the series path; 0 for a closed
-    form and NaN where it was sampled."""
+    form and NaN where it was sampled.  samples is the number of draws
+    behind an honest answer, 0 for an adversarial one."""
 
     label: str
     mode: str
@@ -306,6 +374,7 @@ class QueryLogEntry:
     path: str
     seconds: float
     error: float
+    samples: int
 
 
 class SqOracle:
@@ -313,8 +382,13 @@ class SqOracle:
 
     It answers ProjectionQuery and MonomialQuery only, and raises
     ValidationError on any other query before logging it.  mode 'honest'
-    answers from fresh samples; mode 'adversarial' answers the value within
-    tau of the target expectation closest to the N(0, I) expectation.
+    answers with the mean of min(ceil(4 / tau^2), ceil(20 V / tau^2)) fresh
+    samples, V a certified bound on the query's second moment under this
+    oracle's own target (1 where none is known), so by Chebyshev's
+    inequality the answer lands within tau with probability >= 0.95; it
+    raises ValidationError, before any draw, where that count exceeds
+    MAX_HONEST_SAMPLES.  mode 'adversarial' answers the value within tau of
+    the target expectation closest to the N(0, I) expectation.
     Query outputs are clamped to [-1, 1].
     """
 
@@ -364,6 +438,19 @@ class SqOracle:
         eta = rng.standard_normal(n)
         u = g_s - np.outer(g_s @ v_s + eta * w_c, v_s)
         return u + np.outer(s, v_s)
+
+    def _sample_size(self, query) -> int:
+        """Draws behind one honest answer: min(ceil(4 / tau^2),
+        ceil(20 V / tau^2)); a query with V = 1 takes the first."""
+        tol = self.tau
+        bound = _second_moment_bound(query, self._target)
+        n = min(math.ceil(4.0 / (tol * tol)), math.ceil(20.0 * bound / (tol * tol)))
+        if n > MAX_HONEST_SAMPLES:
+            raise ValidationError(
+                f"an honest answer to {query.label!r} at tau={tol:g} needs n={n} "
+                f"samples, more than the {MAX_HONEST_SAMPLES} one answer may draw"
+            )
+        return n
 
     def _honest_values(self, query, n: int) -> np.ndarray:
         """n fresh query values under the target, clamped to [-1, 1]."""
@@ -432,9 +519,10 @@ class SqOracle:
         tol = self.tau
         if self.mode == "honest":
             path, error = "sampled", math.nan
-            n = int(math.ceil(4.0 / (tol * tol)))
-            answer = float(np.mean(self._honest_values(query, n)))
+            samples = self._sample_size(query)
+            answer = float(np.mean(self._honest_values(query, samples)))
         else:
+            samples = 0
             # The expectation of a range-clamped query provably lies in
             # [-1, 1]; clipping removes quadrature round-off overshoot.
             e_target, path = self._true_expectation(query, self._target)
@@ -455,6 +543,7 @@ class SqOracle:
                 path=path,
                 seconds=time.perf_counter() - start,
                 error=error,
+                samples=samples,
             )
         )
         return answer
@@ -497,6 +586,12 @@ def _moment_scan_queries(
     return queries
 
 
+# id(fn) -> j for each function _clipped_power made, which honest oracles
+# read to bound the query's second moment.  The factory keeps every function
+# for the life of the process, so no other object takes one of these ids.
+_CLIPPED_POWERS: dict[int, int] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _clipped_power(j: int):
     """clip(t^j / CLIP_BASE^j, -1, 1); one shared function object per j."""
@@ -505,6 +600,7 @@ def _clipped_power(j: int):
     def fn(t):
         return np.clip(_int_power(np.asarray(t, dtype=float), j) / scale, -1.0, 1.0)
 
+    _CLIPPED_POWERS[id(fn)] = j
     return fn
 
 

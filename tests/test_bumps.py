@@ -10,6 +10,7 @@ from scipy import integrate
 
 from momentforge import (
     Bump,
+    SlopeTarget,
     SupportCollisionError,
     ValidationError,
     bump_eval,
@@ -17,6 +18,7 @@ from momentforge import (
     bump_moment,
     bump_moment_deps,
     bump_moment_dh,
+    evolve,
     gaussian_quantile,
     hermite_rule,
     instance_eval,
@@ -313,6 +315,24 @@ class TestLayout:
             for b in inst.bumps
         )
         assert total == pytest.approx(1.0 - reduced.gap_mass, abs=1e-10)
+
+    def test_plateau_mass_once_per_plateau(self, reduced5, monkeypatch):
+        # The flow keeps every plateau, so a build computes m - 1 masses.
+        calls = []
+        real = bumps.gaussian_interval_mass
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(bumps, "gaussian_interval_mass", counted)
+        bumps._plateau_mass.cache_clear()
+        inst = layout(reduced5, 1e-6, 1e-4)
+        evolved, _ = evolve(inst, SlopeTarget(eps_target=1e-3))
+        assert len(calls) == inst.m - 1
+        for b in evolved.bumps:
+            c, w = b.center, b.half_width
+            assert bump_law(b)[1][0] == real(c - w, c + w)
 
     def test_m3_ramp_free_moments_exact(self):
         reduced = reduce_rule(hermite_rule(3))

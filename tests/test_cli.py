@@ -817,6 +817,17 @@ class TestDistinguish:
         err = capsys.readouterr().err
         assert "subset_size" in err and "d=2" in err
 
+    def test_oversized_honest_answer_exits_2(self, built_m5, tmp_path, capsys):
+        # At tau = 1e-4 a degree-1 monomial needs about 1.4e7 draws, more
+        # than one honest answer may take.
+        out = tmp_path / "dist.json"
+        argv = ["distinguish", str(built_m5), "--mode", "honest", "--tau", "1e-4",
+                "--trials", "30", "--d", "8", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "tau=0.0001 needs n=" in err and "more than the 4194304" in err
+        assert not out.exists()
+
     def test_oracle_v_json_output(self, built_m5, tmp_path):
         out = tmp_path / "dist.json"
         code = main(

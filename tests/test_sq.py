@@ -24,6 +24,7 @@ from momentforge import (
     NullTarget,
     PlantedTarget,
     ProjectionQuery,
+    PushforwardDist,
     SqOracle,
     ValidationError,
     instance_eval,
@@ -36,10 +37,14 @@ from momentforge.distributions import STREAM_ORACLE, rng_stream
 from momentforge.gaussian import gaussian_moment
 from momentforge.sq import (
     CLIP_BASE,
+    MAX_HONEST_SAMPLES,
     SERIES_TAIL,
     Algorithm,
     _clipped_power,
     _int_power,
+    _null_monomial_moment,
+    _planted_monomial_moment,
+    _second_moment_bound,
     answer_sequence,
     build_algorithm,
 )
@@ -308,13 +313,19 @@ class TestIntegerPowerKernel:
     )
     def test_honest_answers_match_pow_reference(self, hidden, powers, j, seed):
         # Each answer rebuilt from a fresh copy of the oracle's stream, the
-        # draws of the sampling paths TestHonestSamplingStreams pins down.
+        # draws of the sampling paths TestHonestSamplingStreams pins down,
+        # at the sample size the oracle logged.
         target = PlantedTarget(hidden)
-        n = math.ceil(4.0 / (TAU * TAU))
+
+        def answer_and_size(query):
+            oracle = make_oracle(target, "honest", seed=seed)
+            answer = stat_query(oracle, query)
+            return answer, oracle.query_log[0].samples
+
         query = MonomialQuery(
             indices=tuple(range(len(powers))), powers=tuple(powers), label="mono"
         )
-        answer = stat_query(make_oracle(target, "honest", seed=seed), query)
+        answer, n = answer_and_size(query)
         rng = rng_stream(seed, STREAM_ORACLE)
         coords = SqOracle._sample_monomial_coords(query, target, rng, n)
         want = np.mean(np.clip(pow_monomial_values(coords, query), -1.0, 1.0))
@@ -322,10 +333,158 @@ class TestIntegerPowerKernel:
 
         u = np.full(D_SMALL, 1.0 / math.sqrt(D_SMALL))
         query = ProjectionQuery(direction=u, fn=_clipped_power(j), label="proj")
-        answer = stat_query(make_oracle(target, "honest", seed=seed), query)
+        answer, n = answer_and_size(query)
         rng = rng_stream(seed, STREAM_ORACLE)
         proj = SqOracle._sample_projection(query, target, rng, n)
         assert abs(answer - np.mean(pow_clipped_power(j)(proj))) <= 1e-15
+
+
+class TestHonestSampleSizes:
+    """An honest answer draws min(ceil(4 / tau^2), ceil(20 V / tau^2))
+    samples, V a certified bound on the query's second moment."""
+
+    D = 50
+    TAU = 0.02  # the benchmark's honest tau
+
+    @pytest.fixture(scope="class")
+    def hidden50(self, dist5):
+        v = np.random.default_rng(5).standard_normal(self.D)
+        v /= np.linalg.norm(v)
+        return HiddenDirectionDist(d=self.D, v=v, marginal=dist5)
+
+    def algorithms(self, hidden50, seed=7):
+        return [
+            build_algorithm(
+                algo_id, self.D, seed=seed, tau=self.TAU, planted_hint=hidden50
+            )
+            for algo_id in ("moment-scan", "random-projection-moment", "oracle-v")
+        ]
+
+    @staticmethod
+    def clip_power(query):
+        """j for a query on _clipped_power(j), else None."""
+        return next((j for j in range(1, 11) if query.fn is _clipped_power(j)), None)
+
+    def exact_second_moment(self, query, target):
+        """E_target[q^2] of the unclamped query, in closed form."""
+        if isinstance(query, MonomialQuery):
+            doubled = MonomialQuery(
+                query.indices, tuple(2 * p for p in query.powers), "doubled"
+            )
+            if isinstance(target, NullTarget):
+                moment = _null_monomial_moment(doubled)
+            else:
+                moment = _planted_monomial_moment(target, doubled)
+            return moment / query.clip_scale**2
+        j = self.clip_power(query)
+        if isinstance(target, NullTarget):
+            return gaussian_moment(2 * j) / CLIP_BASE ** (2 * j)
+        # <u, x> has the law of the first coordinate under a hidden direction
+        # (c, sqrt(1 - c^2)), c = <u, v>.
+        c = float(query.direction @ target.hidden.v)
+        v2 = np.array([c, math.sqrt(1.0 - c * c)])
+        marginal = target.hidden.marginal
+        axis = PlantedTarget(HiddenDirectionDist(d=2, v=v2, marginal=marginal))
+        power = MonomialQuery((0,), (2 * j,), "projected")
+        return _planted_monomial_moment(axis, power) / CLIP_BASE ** (2 * j)
+
+    def test_bounds_hold_for_every_query(self, hidden50):
+        for target in (PlantedTarget(hidden50), NullTarget(self.D)):
+            for algo in self.algorithms(hidden50):
+                for query in algo.queries:
+                    bound = _second_moment_bound(query, target)
+                    if query.label == "comb-along-v":
+                        assert bound == 1.0  # no closed form
+                        continue
+                    exact = self.exact_second_moment(query, target)
+                    assert 0.0 < exact < 1.0
+                    assert exact <= bound <= 1.0, query.label
+
+    def test_sizes_follow_the_rule(self, hidden50):
+        cap = math.ceil(4.0 / self.TAU**2)
+        for target in (PlantedTarget(hidden50), NullTarget(self.D)):
+            sizes = {}
+            for algo in self.algorithms(hidden50):
+                oracle = SqOracle(target, "honest", tau=self.TAU, seed=3)
+                answer_sequence(oracle, algo)
+                for query, entry in zip(algo.queries, oracle.query_log):
+                    bound = _second_moment_bound(query, target)
+                    want = min(cap, math.ceil(20.0 * bound / self.TAU**2))
+                    assert entry.samples == want, query.label
+                    assert math.isnan(entry.error)
+                    if isinstance(query, MonomialQuery):
+                        key = ("monomial", query.degree)
+                    else:
+                        key = ("projection", self.clip_power(query))
+                    sizes.setdefault(key, set()).add(entry.samples)
+            assert sizes[("monomial", 1)] == sizes[("projection", 1)] == {348}
+            for form in ("monomial", "projection"):
+                assert max(sizes[(form, 2)]) <= 8
+                assert all(sizes[(form, k)] == {1} for k in (3, 4, 5))
+            assert sizes[("projection", None)] == {cap}
+            adversarial = SqOracle(target, "adversarial", tau=self.TAU)
+            answer_sequence(adversarial, self.algorithms(hidden50)[0])
+            assert {entry.samples for entry in adversarial.query_log} == {0}
+
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "null"])
+    def test_query_without_bound_draws_as_before(self, hidden50, planted):
+        # A caller's fn, even one equal to a clipped power, has V = 1: it
+        # draws ceil(4 / tau^2) samples, and its answer is their mean.
+        target = PlantedTarget(hidden50) if planted else NullTarget(self.D)
+        n = math.ceil(4.0 / self.TAU**2)
+        u = np.full(self.D, 1.0 / math.sqrt(self.D))
+        fns = (np.tanh, lambda t: np.clip(np.asarray(t) / CLIP_BASE, -1.0, 1.0))
+        for fn in fns:
+            query = ProjectionQuery(direction=u, fn=fn, label="own")
+            oracle = SqOracle(target, "honest", tau=self.TAU, seed=21)
+            answer = stat_query(oracle, query)
+            assert oracle.query_log[0].samples == n
+            rng = rng_stream(21, STREAM_ORACLE)
+            proj = SqOracle._sample_projection(query, target, rng, n)
+            assert answer == float(np.mean(np.clip(fn(proj), -1.0, 1.0)))
+
+    def test_calibration_against_exact_expectations(self, hidden50):
+        # At most 5% of the answers of each query form and degree may fall
+        # outside +-tau of the target expectation.
+        rng = np.random.default_rng(321)
+        outside: dict = {}
+        for trial in range(10):
+            v = rng.standard_normal(self.D)
+            v /= np.linalg.norm(v)
+            hidden = HiddenDirectionDist(d=self.D, v=v, marginal=hidden50.marginal)
+            for target in (PlantedTarget(hidden), NullTarget(self.D)):
+                for algo in self.algorithms(hidden, seed=400 + trial)[:2]:
+                    oracle = SqOracle(target, "honest", tau=self.TAU, seed=500 + trial)
+                    answers = answer_sequence(oracle, algo)
+                    for query, answer in zip(algo.queries, answers):
+                        want, _ = oracle._true_expectation(query, target)
+                        if isinstance(query, MonomialQuery):
+                            form = ("monomial", query.degree)
+                        else:
+                            form = ("projection", self.clip_power(query))
+                        key = (*form, type(target).__name__)
+                        miss = abs(answer - want) > self.TAU
+                        outside.setdefault(key, []).append(miss)
+        assert len(outside) == 20
+        for key, misses in outside.items():
+            assert len(misses) >= 30
+            assert sum(misses) <= 0.05 * len(misses), key
+
+    def test_oversized_answer_refused_before_any_draw(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from the stream ({name})")
+
+        oracle = SqOracle(NullTarget(2), "honest", tau=1e-4)
+        oracle._rng = NoDraws()
+        query = ProjectionQuery(direction=np.array([1.0, 0.0]), fn=np.tanh, label="own")
+        with pytest.raises(ValidationError, match=r"tau=0\.0001 needs n=400000000 "):
+            stat_query(oracle, query)
+        assert oracle.query_count == 0
+        # The largest V = 1 answer the cap admits still draws.
+        tau = 2.0 / math.sqrt(MAX_HONEST_SAMPLES)
+        oracle = SqOracle(NullTarget(2), "honest", tau=tau)
+        assert oracle._sample_size(query) == MAX_HONEST_SAMPLES
 
 
 class TestAnswerPaths:
@@ -607,6 +766,26 @@ class TestConcurrentTrials:
         assert result.queries_used == queries_used
         logs = [[e.answer for e in oracle.query_log] for *_, oracle in made]
         assert logs == [[e.answer for e in oracle.query_log] for oracle in oracles]
+
+    def test_workers_fill_a_fresh_marginals_moments(self, dist5, four_cpus):
+        # Honest oracles size their samples from the marginal's kept
+        # moments, which trials sharing a fresh marginal fill concurrently.
+        def honest(trial):
+            return "honest"
+
+        serial, pooled = (PushforwardDist(dist5.inst, dist5.sigma) for _ in range(2))
+        _, decisions, _, oracles = serial_distinguisher(
+            "moment-scan", self.factory(serial, honest), self.TRIALS, self.SEED,
+            tau=self.TAU,
+        )
+        made = []
+        result = self.run("moment-scan", self.factory(pooled, honest, made))
+        assert result.decisions == decisions
+        assert pooled._moments == serial._moments
+        def logs(oracles):
+            return [[(e.samples, e.answer) for e in o.query_log] for o in oracles]
+
+        assert logs(oracle for *_, oracle in made) == logs(oracles)
 
     def test_factory_runs_in_trial_order_on_calling_thread(self, dist5, four_cpus):
         made = []
