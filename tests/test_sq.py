@@ -782,6 +782,7 @@ class TestConcurrentTrials:
         result = self.run("moment-scan", self.factory(pooled, honest, made))
         assert result.decisions == decisions
         assert pooled._moments == serial._moments
+
         def logs(oracles):
             return [[(e.samples, e.answer) for e in o.query_log] for o in oracles]
 
