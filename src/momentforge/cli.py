@@ -288,9 +288,11 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _write_samples(blocks, path: str, fmt: str) -> None:
-    """Write sample blocks one after another to path, as csv or f64."""
-    with replacing(path) as fh:
+def _write_samples(blocks, path: str, fmt: str, n: int, d: int) -> None:
+    """Write sample blocks, n rows of d values in all, one after another to
+    path, as csv or f64.  An f64 file's size is known, so it is reserved
+    before the first block is drawn."""
+    with replacing(path, 8 * n * d if fmt == "f64" else None) as fh:
         for block in blocks:
             if fmt == "csv":
                 np.savetxt(fh, block, delimiter=",", fmt="%.17g")
@@ -310,6 +312,7 @@ def cmd_sample(args) -> int:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     data = load_json(args.file)
     kind = data.get("kind")
+    d = args.d  # the output dimension; a network file fixes it
     if args.kind == "null":
         _reject_law_flags(args, "to null sampling: N(0, I_d) has no sigma or v")
         if args.d is None:
@@ -324,7 +327,8 @@ def cmd_sample(args) -> int:
             raise ValidationError(
                 f"--d {args.d} does not match the network's d = {net.d}"
             )
-        blocks = map(net.eval, latent_blocks(net.d + 1, args.n, args.seed))
+        d = net.d
+        blocks = map(net.eval, latent_blocks(d + 1, args.n, args.seed))
     elif kind == "instance":
         _, evolved, _ = _read_build(data, args.file)
         if args.d is None:
@@ -336,7 +340,7 @@ def cmd_sample(args) -> int:
         blocks = hidden_blocks(hd, args.n, args.seed)
     else:
         raise ValidationError(f"{args.file}: cannot sample from a {kind!r} file")
-    _write_samples(blocks, args.out, args.format)
+    _write_samples(blocks, args.out, args.format, args.n, d)
     print(f"wrote {args.n} samples to {args.out} ({args.format})")
     return EXIT_OK
 

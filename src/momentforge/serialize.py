@@ -8,6 +8,7 @@ Files carry a schema tag and are revalidated on load.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 from pathlib import Path
@@ -58,10 +59,22 @@ def parse_float_list(xs) -> list[float]:
 
 
 @contextlib.contextmanager
-def replacing(path: str | Path):
+def replacing(path: str | Path, size: int | None = None):
     """A binary handle whose bytes replace the file at path only once the
     block completes; on failure path is left as it was.  A device or pipe
-    has nothing to keep and is written directly; a symlink is followed."""
+    has nothing to keep and is written directly; a symlink is followed.
+
+    Given size, the artifact's final byte count, the temporary file is
+    reserved with posix_fallocate before the first byte is written, so a
+    disk that cannot hold it fails here (ENOSPC, EFBIG) and not part way
+    through.  The reservation also makes replacing an existing file cheap:
+    on a filesystem with delayed allocation (ext4), a rename over an
+    existing file writes back the new file's still unallocated blocks
+    inside the rename, and a reserved file has none.  A filesystem without
+    reservation (EOPNOTSUPP) is written as without size.  A reserved file
+    already has its full length, so the block must write exactly size
+    bytes: any other count raises ValueError, and path is left as it was
+    rather than receive a zero tail."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
@@ -72,11 +85,30 @@ def replacing(path: str | Path):
     fh = open(tmp, "xb")
     try:
         with fh:
+            if size:
+                _reserve(fh, size)
             yield fh
+            if size is not None and fh.tell() != size:
+                raise ValueError(
+                    f"{path}: wrote {fh.tell()} bytes, expected {size}"
+                )
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _reserve(fh, size: int) -> None:
+    """Allocate size bytes of the open file fh where the platform and the
+    filesystem can."""
+    fallocate = getattr(os, "posix_fallocate", None)  # absent on macOS
+    if fallocate is None:
+        return
+    try:
+        fallocate(fh.fileno(), 0, size)
+    except OSError as exc:
+        if exc.errno != errno.EOPNOTSUPP:
+            raise
 
 
 @contextlib.contextmanager
@@ -95,9 +127,9 @@ def fields_of(path: str | Path):
 
 
 def dump_json(obj: dict, path: str | Path) -> None:
-    text = json.dumps(obj, indent=1, sort_keys=False)
-    with replacing(path) as fh:
-        fh.write(text.encode() + b"\n")
+    data = json.dumps(obj, indent=1, sort_keys=False).encode() + b"\n"
+    with replacing(path, len(data)) as fh:
+        fh.write(data)
 
 
 def load_json(path: str | Path) -> dict:

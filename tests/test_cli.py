@@ -39,11 +39,13 @@ from momentforge.distributions import (
     rng_stream,
 )
 from momentforge.serialize import (
+    dump_json,
     fnum,
     instance_from_payload,
     load_json,
     parse_float,
     parse_float_list,
+    replacing,
 )
 
 KS_C_001 = 1.628
@@ -423,6 +425,28 @@ class TestExportAndSample:
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@pytest.fixture
+def reservations(monkeypatch):
+    """The (offset, length) of every os.posix_fallocate call, which still
+    reserves."""
+    calls = []
+    real = os.posix_fallocate
+
+    def spy(fd, offset, length):
+        calls.append((offset, length))
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    return calls
+
+
+def fallocate_fails(monkeypatch, code):
+    def fail(fd, offset, length):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "posix_fallocate", fail)
+
+
 def one_shot(kind, direction, n, d, seed, net, built, sigma=0.05):
     """The samples `sample` writes, with the Gaussian blocks drawn one after
     another from their keyed substreams, stacked and mapped in one shot; net
@@ -798,6 +822,136 @@ class TestSampleStream:
         # Four CPUs still get two fillers, so at most three blocks in flight.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         self.test_peak_memory_is_below_half_the_output(built_m5, tmp_path, kind)
+
+    @pytest.mark.parametrize("kind, direction", [CASES[0], CASES[2], CASES[4]])
+    def test_f64_sample_reserves_its_size(
+        self, nets, built_m5, tmp_path, reservations, kind, direction
+    ):
+        # d is the output dimension: D for a network too, not its D + 1 inputs.
+        n = 3 * self.ROWS + 1
+        out = tmp_path / "samples.f64"
+        argv = self.argv(kind, direction, nets, built_m5)
+        assert main([*argv, "--n", str(n), "--format", "f64", "--out", str(out)]) == 0
+        assert reservations == [(0, 8 * n * self.D)]
+        assert out.stat().st_size == 8 * n * self.D
+
+    @pytest.mark.parametrize("kind, direction", [CASES[0], CASES[2], CASES[4]])
+    def test_csv_sample_reserves_nothing(
+        self, nets, built_m5, tmp_path, reservations, kind, direction
+    ):
+        out = tmp_path / "samples.csv"
+        argv = self.argv(kind, direction, nets, built_m5)
+        assert main([*argv, "--n", "5", "--format", "csv", "--out", str(out)]) == 0
+        assert reservations == []
+
+    def test_pipe_reserves_nothing(self, nets, tmp_path, reservations):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = {}
+        reader = threading.Thread(
+            target=lambda: got.update(data=pipe.read_bytes()), daemon=True
+        )
+        reader.start()
+        args = ["--n", "5", "--seed", str(self.SEED), "--format", "f64"]
+        assert main(["sample", str(nets["e1"]), *args, "--out", str(pipe)]) == 0
+        reader.join(timeout=30)
+        assert reservations == []
+        want = self.reference("lifted", "e1", 5, nets, None)
+        assert got["data"] == self.reference_bytes(want, "f64", tmp_path)
+
+    @pytest.mark.parametrize("kind, direction", [CASES[1], CASES[3], CASES[4]])
+    def test_f64_sample_replaces_an_earlier_file(
+        self, nets, built_m5, tmp_path, monkeypatch, kind, direction
+    ):
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        out = workdir / "samples.f64"
+        out.write_bytes(b"earlier samples, longer than the new ones\n" * 100)
+        n = 2 * self.ROWS + 3
+        argv = self.argv(kind, direction, nets, built_m5)
+        args = ["--n", str(n), "--seed", str(self.SEED), "--format", "f64"]
+        assert main([*argv, *args, "--out", str(out)]) == 0
+        assert os.listdir(workdir) == ["samples.f64"]
+        want = self.reference(kind, direction, n, nets, built_m5)
+        assert out.read_bytes() == self.reference_bytes(want, "f64", tmp_path)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EFBIG])
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize("kind", ["lifted", "planted", "null"])
+    def test_sample_too_large_for_the_disk_fails_before_drawing(
+        self, nets, built_m5, tmp_path, monkeypatch, capsys, kind, existing, code
+    ):
+        fallocate_fails(monkeypatch, code)
+
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+            yield
+
+        monkeypatch.setattr(distributions, "_gaussian_blocks", no_draw)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        out = workdir / "samples.f64"
+        if existing:
+            out.write_bytes(b"earlier samples\n")
+        argv = self.argv(kind, "e1", nets, built_m5)
+        assert main([*argv, "--n", "10", "--format", "f64", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        if existing:
+            assert out.read_bytes() == b"earlier samples\n"
+        assert sorted(os.listdir(workdir)) == (["samples.f64"] if existing else [])
+
+    @pytest.mark.parametrize("unsupported", ["EOPNOTSUPP", "absent"])
+    @pytest.mark.parametrize("kind, direction", [CASES[1], CASES[3], CASES[4]])
+    def test_filesystem_without_reservation_is_written_unreserved(
+        self, nets, built_m5, tmp_path, monkeypatch, kind, direction, unsupported
+    ):
+        if unsupported == "absent":
+            monkeypatch.delattr(os, "posix_fallocate")
+        else:
+            fallocate_fails(monkeypatch, errno.EOPNOTSUPP)
+        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
+        out = tmp_path / "samples.f64"
+        out.write_bytes(b"earlier samples\n")
+        n = 2 * self.ROWS + 3
+        argv = self.argv(kind, direction, nets, built_m5)
+        args = ["--n", str(n), "--seed", str(self.SEED), "--format", "f64"]
+        assert main([*argv, *args, "--out", str(out)]) == 0
+        want = self.reference(kind, direction, n, nets, built_m5)
+        assert out.read_bytes() == self.reference_bytes(want, "f64", tmp_path)
+
+
+class TestReplacing:
+    """serialize.replacing with a size: the reservation, and the check that
+    exactly that many bytes were written."""
+
+    def test_dump_json_reserves_its_length(self, tmp_path, reservations):
+        path = tmp_path / "a.json"
+        dump_json({"schema": "moment-forge/1", "x": fnum(0.1)}, path)
+        assert reservations == [(0, path.stat().st_size)]
+
+    @pytest.mark.parametrize("written", [0, 99, 101])
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_wrong_size_leaves_path_as_it_was(self, tmp_path, written, existing):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        path = workdir / "a.bin"
+        if existing:
+            path.write_bytes(b"earlier bytes\n")
+        with pytest.raises(ValueError, match=f"wrote {written} bytes, expected 100"):
+            with replacing(path, 100) as fh:
+                fh.write(b"x" * written)
+        if existing:
+            assert path.read_bytes() == b"earlier bytes\n"
+        assert sorted(os.listdir(workdir)) == (["a.bin"] if existing else [])
+
+    def test_other_reservation_errors_propagate(self, tmp_path, monkeypatch):
+        fallocate_fails(monkeypatch, errno.EIO)
+        with pytest.raises(OSError) as info:
+            with replacing(tmp_path / "a.bin", 100) as fh:
+                fh.write(b"x" * 100)
+        assert info.value.errno == errno.EIO
+        assert os.listdir(tmp_path) == []
 
 
 class TestDistinguish:
