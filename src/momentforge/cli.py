@@ -291,7 +291,9 @@ def cmd_export(args) -> int:
 def _write_samples(blocks, path: str, fmt: str, n: int, d: int) -> None:
     """Write sample blocks, n rows of d values in all, one after another to
     path, as csv or f64.  An f64 file's size is known, so it is reserved
-    before the first block is drawn."""
+    before the first block is drawn.  A seeded sample can be drawn again
+    byte for byte, so it takes the reservation's trade of ext4's crash
+    guard for a rename without writeback (see replacing)."""
     with replacing(path, 8 * n * d if fmt == "f64" else None) as fh:
         for block in blocks:
             if fmt == "csv":

@@ -67,14 +67,23 @@ def replacing(path: str | Path, size: int | None = None):
     Given size, the artifact's final byte count, the temporary file is
     reserved with posix_fallocate before the first byte is written, so a
     disk that cannot hold it fails here (ENOSPC, EFBIG) and not part way
-    through.  The reservation also makes replacing an existing file cheap:
-    on a filesystem with delayed allocation (ext4), a rename over an
-    existing file writes back the new file's still unallocated blocks
-    inside the rename, and a reserved file has none.  A filesystem without
-    reservation (EOPNOTSUPP) is written as without size.  A reserved file
-    already has its full length, so the block must write exactly size
-    bytes: any other count raises ValueError, and path is left as it was
-    rather than receive a zero tail."""
+    through.  A reserved file already has its full length, so the block
+    must write exactly size bytes: any other count raises ValueError, and
+    path is left as it was rather than receive a zero tail.  Where the
+    filesystem has no native reservation, glibc emulates it by writing one
+    byte per block first; a platform without posix_fallocate, or a
+    filesystem that refuses it (EOPNOTSUPP, EINVAL), is written unreserved.
+
+    The reservation trades crash safety for speed.  ext4 with delayed
+    allocation guards a rename over an existing file (auto_da_alloc): it
+    writes back the new file's still unallocated blocks inside the rename,
+    so that after a power loss path holds the old bytes or the new.  A
+    reserved file has no unallocated blocks, so the rename skips that
+    writeback, and a power loss before the kernel writes the data back can
+    leave path at its full length but reading as zeros.  Readers that run
+    meanwhile still see only the old file or the complete new one.  So
+    only a caller whose file can be written again passes size, and where a
+    power loss must not cost the file, sync(1) after it returns."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
@@ -107,7 +116,7 @@ def _reserve(fh, size: int) -> None:
     try:
         fallocate(fh.fileno(), 0, size)
     except OSError as exc:
-        if exc.errno != errno.EOPNOTSUPP:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
             raise
 
 
@@ -127,9 +136,9 @@ def fields_of(path: str | Path):
 
 
 def dump_json(obj: dict, path: str | Path) -> None:
-    data = json.dumps(obj, indent=1, sort_keys=False).encode() + b"\n"
-    with replacing(path, len(data)) as fh:
-        fh.write(data)
+    text = json.dumps(obj, indent=1, sort_keys=False)
+    with replacing(path) as fh:
+        fh.write(text.encode() + b"\n")
 
 
 def load_json(path: str | Path) -> dict:

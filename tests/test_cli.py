@@ -39,7 +39,6 @@ from momentforge.distributions import (
     rng_stream,
 )
 from momentforge.serialize import (
-    dump_json,
     fnum,
     instance_from_payload,
     load_json,
@@ -429,6 +428,8 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 def reservations(monkeypatch):
     """The (offset, length) of every os.posix_fallocate call, which still
     reserves."""
+    if not hasattr(os, "posix_fallocate"):
+        pytest.skip("no posix_fallocate on this platform")
     calls = []
     real = os.posix_fallocate
 
@@ -444,7 +445,7 @@ def fallocate_fails(monkeypatch, code):
     def fail(fd, offset, length):
         raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "posix_fallocate", fail)
+    monkeypatch.setattr(os, "posix_fallocate", fail, raising=False)
 
 
 def one_shot(kind, direction, n, d, seed, net, built, sigma=0.05):
@@ -772,7 +773,7 @@ class TestSampleStream:
         assert main(["sample", str(built_m5), *args, *defaults, "--out", str(explicit)]) == 0
         assert implicit.read_bytes() == explicit.read_bytes()
 
-    def test_pipe_is_written_directly(self, nets, tmp_path):
+    def test_pipe_is_written_directly(self, nets, tmp_path, reservations):
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         got = {}
@@ -784,6 +785,7 @@ class TestSampleStream:
         assert main(["sample", str(nets["e1"]), *args, "--out", str(pipe)]) == 0
         reader.join(timeout=30)
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert reservations == []
         want = self.reference("lifted", "e1", 5, nets, None)
         assert got["data"] == self.reference_bytes(want, "f64", tmp_path)
 
@@ -823,46 +825,12 @@ class TestSampleStream:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         self.test_peak_memory_is_below_half_the_output(built_m5, tmp_path, kind)
 
-    @pytest.mark.parametrize("kind, direction", [CASES[0], CASES[2], CASES[4]])
-    def test_f64_sample_reserves_its_size(
-        self, nets, built_m5, tmp_path, reservations, kind, direction
-    ):
-        # d is the output dimension: D for a network too, not its D + 1 inputs.
-        n = 3 * self.ROWS + 1
-        out = tmp_path / "samples.f64"
-        argv = self.argv(kind, direction, nets, built_m5)
-        assert main([*argv, "--n", str(n), "--format", "f64", "--out", str(out)]) == 0
-        assert reservations == [(0, 8 * n * self.D)]
-        assert out.stat().st_size == 8 * n * self.D
-
-    @pytest.mark.parametrize("kind, direction", [CASES[0], CASES[2], CASES[4]])
-    def test_csv_sample_reserves_nothing(
-        self, nets, built_m5, tmp_path, reservations, kind, direction
-    ):
-        out = tmp_path / "samples.csv"
-        argv = self.argv(kind, direction, nets, built_m5)
-        assert main([*argv, "--n", "5", "--format", "csv", "--out", str(out)]) == 0
-        assert reservations == []
-
-    def test_pipe_reserves_nothing(self, nets, tmp_path, reservations):
-        pipe = tmp_path / "pipe"
-        os.mkfifo(pipe)
-        got = {}
-        reader = threading.Thread(
-            target=lambda: got.update(data=pipe.read_bytes()), daemon=True
-        )
-        reader.start()
-        args = ["--n", "5", "--seed", str(self.SEED), "--format", "f64"]
-        assert main(["sample", str(nets["e1"]), *args, "--out", str(pipe)]) == 0
-        reader.join(timeout=30)
-        assert reservations == []
-        want = self.reference("lifted", "e1", 5, nets, None)
-        assert got["data"] == self.reference_bytes(want, "f64", tmp_path)
-
     @pytest.mark.parametrize("kind, direction", [CASES[1], CASES[3], CASES[4]])
-    def test_f64_sample_replaces_an_earlier_file(
-        self, nets, built_m5, tmp_path, monkeypatch, kind, direction
+    def test_f64_sample_reserves_its_size(
+        self, nets, built_m5, tmp_path, monkeypatch, reservations, kind, direction
     ):
+        # d is the output dimension: D for a network too, not its D + 1
+        # inputs.  The sample replaces a longer earlier file.
         monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
         workdir = tmp_path / "work"
         workdir.mkdir()
@@ -872,9 +840,19 @@ class TestSampleStream:
         argv = self.argv(kind, direction, nets, built_m5)
         args = ["--n", str(n), "--seed", str(self.SEED), "--format", "f64"]
         assert main([*argv, *args, "--out", str(out)]) == 0
+        assert reservations == [(0, 8 * n * self.D)]
         assert os.listdir(workdir) == ["samples.f64"]
         want = self.reference(kind, direction, n, nets, built_m5)
         assert out.read_bytes() == self.reference_bytes(want, "f64", tmp_path)
+
+    @pytest.mark.parametrize("kind, direction", [CASES[0], CASES[2], CASES[4]])
+    def test_csv_sample_reserves_nothing(
+        self, nets, built_m5, tmp_path, reservations, kind, direction
+    ):
+        out = tmp_path / "samples.csv"
+        argv = self.argv(kind, direction, nets, built_m5)
+        assert main([*argv, "--n", "5", "--format", "csv", "--out", str(out)]) == 0
+        assert reservations == []
 
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EFBIG])
     @pytest.mark.parametrize("existing", [True, False])
@@ -901,34 +879,25 @@ class TestSampleStream:
             assert out.read_bytes() == b"earlier samples\n"
         assert sorted(os.listdir(workdir)) == (["samples.f64"] if existing else [])
 
-    @pytest.mark.parametrize("unsupported", ["EOPNOTSUPP", "absent"])
-    @pytest.mark.parametrize("kind, direction", [CASES[1], CASES[3], CASES[4]])
-    def test_filesystem_without_reservation_is_written_unreserved(
-        self, nets, built_m5, tmp_path, monkeypatch, kind, direction, unsupported
-    ):
-        if unsupported == "absent":
-            monkeypatch.delattr(os, "posix_fallocate")
-        else:
-            fallocate_fails(monkeypatch, errno.EOPNOTSUPP)
-        monkeypatch.setattr(distributions, "SAMPLE_BLOCK", self.BLOCK_VALUES)
-        out = tmp_path / "samples.f64"
-        out.write_bytes(b"earlier samples\n")
-        n = 2 * self.ROWS + 3
-        argv = self.argv(kind, direction, nets, built_m5)
-        args = ["--n", str(n), "--seed", str(self.SEED), "--format", "f64"]
-        assert main([*argv, *args, "--out", str(out)]) == 0
-        want = self.reference(kind, direction, n, nets, built_m5)
-        assert out.read_bytes() == self.reference_bytes(want, "f64", tmp_path)
-
 
 class TestReplacing:
     """serialize.replacing with a size: the reservation, and the check that
     exactly that many bytes were written."""
 
-    def test_dump_json_reserves_its_length(self, tmp_path, reservations):
-        path = tmp_path / "a.json"
-        dump_json({"schema": "moment-forge/1", "x": fnum(0.1)}, path)
-        assert reservations == [(0, path.stat().st_size)]
+    @pytest.mark.parametrize("unsupported", ["EOPNOTSUPP", "EINVAL", "absent"])
+    def test_filesystem_without_reservation_is_written_unreserved(
+        self, tmp_path, monkeypatch, unsupported
+    ):
+        if unsupported == "absent":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            fallocate_fails(monkeypatch, getattr(errno, unsupported))
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"earlier bytes\n")
+        with replacing(path, 100) as fh:
+            fh.write(bytes(range(100)))
+        assert path.read_bytes() == bytes(range(100))
+        assert os.listdir(tmp_path) == ["a.bin"]
 
     @pytest.mark.parametrize("written", [0, 99, 101])
     @pytest.mark.parametrize("existing", [True, False])
